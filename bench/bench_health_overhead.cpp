@@ -2,143 +2,40 @@
 //
 //   bench_health_overhead [--ms N] [--max-overhead-pct X]
 //
-// Runs the same chunked simulation + collection pipeline twice — once bare,
-// once with umon::health fully attached (per-packet watermark notes and
-// fidelity-probe observation, per-tick registry sampling, watermark
-// publication, probe evaluation, alarm evaluation) — and reports the
-// relative wall-clock overhead of the health instrumentation. Both runs use
-// identical chunking, epoch flushing, and collector draining, so the delta
-// isolates exactly what --health-out adds to umon_sim. Best-of-3 per mode:
-// scheduling noise only ever inflates a run.
+// Runs the shipped umon::pipeline (the loop umon_sim runs, Hadoop 15%,
+// 500 us ticks, 2 collector shards) twice — once bare, once with the health
+// tap attached (per-packet watermark notes and fidelity-probe observation,
+// per-tick registry sampling, watermark publication, probe evaluation,
+// alarm evaluation) — and reports the relative wall-clock overhead of
+// run(). The tap is the only difference, so the delta is exactly what
+// --health-out adds to umon_sim. Best-of-3 per mode: scheduling noise only
+// ever inflates a run.
 //
 // With --max-overhead-pct the process exits 1 when the overhead exceeds the
 // budget — CI gates at 2%.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <vector>
 
-#include "analyzer/analyzer.hpp"
-#include "collector/collector.hpp"
-#include "collector/uplink.hpp"
 #include "health/health.hpp"
-#include "netsim/network.hpp"
-#include "netsim/upload_channel.hpp"
-#include "sketch/wavesketch_full.hpp"
+#include "pipeline/pipeline.hpp"
 #include "telemetry/metrics.hpp"
-#include "workload/generator.hpp"
 
 namespace {
 
 using namespace umon;
 
-/// One chunked pipeline run; returns wall nanoseconds of the driver loop.
+/// One run of the shipped pipeline; returns wall nanoseconds of run().
 double run_once(Nanos duration, bool with_health) {
-  netsim::NetworkConfig cfg;
-  cfg.queue_sample_interval = 0;
-  cfg.seed = 7;
-  auto net = netsim::Network::fat_tree(cfg, 4);
-
-  sketch::WaveSketchParams sp;
-  sp.depth = 3;
-  sp.width = 256;
-  sp.levels = 8;
-  sp.k = 64;
-  std::vector<std::unique_ptr<sketch::WaveSketchFull>> sketches;
-  for (int h = 0; h < net->host_count(); ++h) {
-    sketches.push_back(std::make_unique<sketch::WaveSketchFull>(sp));
-  }
-
-  analyzer::Analyzer an;
-  collector::CollectorConfig ccfg;
-  ccfg.shards = 2;
-  collector::Collector col(ccfg, an);
-  netsim::UploadChannelConfig ucfg;
-  ucfg.seed = 7;
-  netsim::UploadChannel channel(
-      ucfg, [&col](netsim::UploadChannel::Delivery&& d) {
-        (void)col.submit_report_payload(d.host, d.epoch, std::move(d.payload));
-      });
-
-  std::unique_ptr<health::HealthMonitor> mon;
-  if (with_health) {
-    mon = std::make_unique<health::HealthMonitor>();
-    mon->add_registry(&telemetry::MetricRegistry::global());
-    mon->add_registry(&col.telemetry_registry());
-    mon->set_analyzer(&an);
-    col.set_decode_event_hook([m = mon.get()](Nanos t) {
-      m->watermarks().note(health::Stage::kCollectorDecode, t);
-    });
-    col.set_curve_event_hook([m = mon.get()](Nanos t) {
-      m->watermarks().note(health::Stage::kAnalyzerCurve, t);
-    });
-  }
-
-  net->set_host_tx_hook([&, m = mon.get()](int host, const PacketRecord& r) {
-    sketches[static_cast<std::size_t>(host)]->update(
-        r.flow, r.timestamp, static_cast<Count>(r.size));
-    if (m != nullptr) {
-      m->watermarks().note(health::Stage::kPacketEvent, r.timestamp);
-      m->probe().observe(r.flow, r.timestamp, r.size);
-    }
-  });
-
-  workload::WorkloadParams wp;
-  wp.hosts = net->host_count();
-  wp.load = 0.15;
-  wp.duration = duration;
-  wp.seed = 7;
-  workload::Workload w =
-      workload::generate(workload::WorkloadKind::kHadoop, wp);
-  workload::install(w, *net);
-
-  col.start();
-  std::vector<collector::HostUplink> uplinks;
-  for (int h = 0; h < net->host_count(); ++h) {
-    uplinks.emplace_back(h, 64);
-  }
-  struct PendingSeal {
-    int host;
-    std::uint32_t epoch;
-    std::uint32_t end_seq;
-  };
-  std::vector<PendingSeal> awaiting;
-  const Nanos tick = 500 * kMicro;
-  const Nanos horizon = duration + 5 * kMilli;
-  if (mon) mon->prime(0);
+  pipeline::Config cfg;
+  cfg.duration = duration;
+  health::HealthMonitor mon;  // default interval: 500 us, cfg.tick
+  pipeline::Taps taps;
+  if (with_health) taps.health = &mon;
+  pipeline::Pipeline p(cfg, taps);
 
   const std::uint64_t t0 = telemetry::monotonic_ns();
-  for (Nanos t = tick; ; t += tick) {
-    if (t > horizon) t = horizon;
-    net->run_until(t);
-    if (mon) net->settle_telemetry();
-    channel.advance_to(t);
-    for (const PendingSeal& s : awaiting) {
-      col.seal_epoch(s.host, s.epoch, s.end_seq);
-    }
-    awaiting.clear();
-    for (int h = 0; h < net->host_count(); ++h) {
-      auto up = uplinks[static_cast<std::size_t>(h)].flush_epoch(
-          *sketches[static_cast<std::size_t>(h)]);
-      if (mon) mon->watermarks().note(health::Stage::kSketchSeal, t);
-      for (auto& p : up.payloads) {
-        // umon-lint: allow(UL006) — health bench isolates the legacy path
-        (void)channel.send(h, up.epoch, std::move(p.bytes), t);
-      }
-      awaiting.push_back({h, up.epoch, up.end_seq});
-    }
-    col.drain();
-    if (mon) mon->tick(t);
-    if (t >= horizon) break;
-  }
-  net->finish();
-  channel.flush();
-  for (const PendingSeal& s : awaiting) {
-    col.seal_epoch(s.host, s.epoch, s.end_seq);
-  }
-  col.stop();
-  if (mon) mon->tick(horizon + tick);
+  p.run();
   return static_cast<double>(telemetry::monotonic_ns() - t0);
 }
 

@@ -8,7 +8,7 @@
 //     load and a branch when profiling is off — measured as ns/op over a
 //     tight scope-construction loop, gated by --max-disabled-ns (CI: 5 ns,
 //     the same budget as the telemetry shims);
-//   * enabled path: with sampling on, the full chunked pipeline (sketch
+//   * enabled path: with sampling on, the shipped umon::pipeline run (sketch
 //     updates through collector decode and analyzer ingest — every
 //     instrumented stage on its real call path) must stay within
 //     --max-overhead-pct of its uninstrumented wall time (CI: 2%).
@@ -19,112 +19,28 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <vector>
 
-#include "analyzer/analyzer.hpp"
-#include "collector/collector.hpp"
-#include "collector/uplink.hpp"
-#include "netsim/network.hpp"
-#include "netsim/upload_channel.hpp"
 #include "obs/prof.hpp"
-#include "sketch/wavesketch_full.hpp"
+#include "pipeline/pipeline.hpp"
 #include "telemetry/metrics.hpp"
-#include "workload/generator.hpp"
 
 namespace {
 
 using namespace umon;
 
-/// One chunked pipeline run; returns wall nanoseconds of the driver loop.
-/// Identical to the bench_health_overhead pipeline minus health, so the
-/// enabled-vs-disabled delta isolates exactly what sampling adds.
+/// One run of the shipped pipeline; returns wall nanoseconds of run().
+/// Same config as bench_health_overhead, with the profiler as the only
+/// difference between the two modes.
 double run_once(Nanos duration, bool with_prof) {
-  netsim::NetworkConfig cfg;
-  cfg.queue_sample_interval = 0;
-  cfg.seed = 7;
-  auto net = netsim::Network::fat_tree(cfg, 4);
-
-  sketch::WaveSketchParams sp;
-  sp.depth = 3;
-  sp.width = 256;
-  sp.levels = 8;
-  sp.k = 64;
-  std::vector<std::unique_ptr<sketch::WaveSketchFull>> sketches;
-  for (int h = 0; h < net->host_count(); ++h) {
-    sketches.push_back(std::make_unique<sketch::WaveSketchFull>(sp));
-  }
-
-  analyzer::Analyzer an;
-  collector::CollectorConfig ccfg;
-  ccfg.shards = 2;
-  collector::Collector col(ccfg, an);
-  netsim::UploadChannelConfig ucfg;
-  ucfg.seed = 7;
-  netsim::UploadChannel channel(
-      ucfg, [&col](netsim::UploadChannel::Delivery&& d) {
-        (void)col.submit_report_payload(d.host, d.epoch, std::move(d.payload));
-      });
-
-  net->set_host_tx_hook([&](int host, const PacketRecord& r) {
-    sketches[static_cast<std::size_t>(host)]->update(
-        r.flow, r.timestamp, static_cast<Count>(r.size));
-  });
-
-  workload::WorkloadParams wp;
-  wp.hosts = net->host_count();
-  wp.load = 0.15;
-  wp.duration = duration;
-  wp.seed = 7;
-  workload::Workload w =
-      workload::generate(workload::WorkloadKind::kHadoop, wp);
-  workload::install(w, *net);
-
-  col.start();
-  std::vector<collector::HostUplink> uplinks;
-  for (int h = 0; h < net->host_count(); ++h) {
-    uplinks.emplace_back(h, 64);
-  }
-  struct PendingSeal {
-    int host;
-    std::uint32_t epoch;
-    std::uint32_t end_seq;
-  };
-  std::vector<PendingSeal> awaiting;
-  const Nanos tick = 500 * kMicro;
-  const Nanos horizon = duration + 5 * kMilli;
+  pipeline::Config cfg;
+  cfg.duration = duration;
+  pipeline::Pipeline p(cfg);
 
   // Calibration (~2 ms spin) happens outside the timed region: it is a
   // one-time startup cost, not a per-run tax.
   if (with_prof) obs::prof_enable();
-
   const std::uint64_t t0 = telemetry::monotonic_ns();
-  for (Nanos t = tick; ; t += tick) {
-    if (t > horizon) t = horizon;
-    net->run_until(t);
-    channel.advance_to(t);
-    for (const PendingSeal& s : awaiting) {
-      col.seal_epoch(s.host, s.epoch, s.end_seq);
-    }
-    awaiting.clear();
-    for (int h = 0; h < net->host_count(); ++h) {
-      auto up = uplinks[static_cast<std::size_t>(h)].flush_epoch(
-          *sketches[static_cast<std::size_t>(h)]);
-      for (auto& p : up.payloads) {
-        // umon-lint: allow(UL006) — obs bench isolates the legacy path
-        (void)channel.send(h, up.epoch, std::move(p.bytes), t);
-      }
-      awaiting.push_back({h, up.epoch, up.end_seq});
-    }
-    col.drain();
-    if (t >= horizon) break;
-  }
-  net->finish();
-  channel.flush();
-  for (const PendingSeal& s : awaiting) {
-    col.seal_epoch(s.host, s.epoch, s.end_seq);
-  }
-  col.stop();
+  p.run();
   const double ns = static_cast<double>(telemetry::monotonic_ns() - t0);
   if (with_prof) obs::prof_disable();
   return ns;

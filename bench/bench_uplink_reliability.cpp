@@ -2,154 +2,58 @@
 //
 //   bench_uplink_reliability [--ms N] [--max-overhead-pct X]
 //
-// Runs the same chunked simulation + collection pipeline twice over a
-// *lossless* wire — once in passthrough mode (the legacy fire-and-forget
-// uplink) and once with the reliable protocol enabled (CRC32C framing,
-// per-frame retransmit bookkeeping, cumulative acks over the reverse
-// channel, dedup state). With zero loss no frame is ever retransmitted, so
-// the delta isolates exactly what --uplink-reliable adds per payload: the
-// frame encode + CRC on the host, the decode + CRC + ack on the collector
-// side, and the ack decode back on the host. Best-of-3 per mode:
-// scheduling noise only ever inflates a run.
+// Runs the shipped umon::pipeline twice over a *lossless* wire — once in
+// passthrough mode (the legacy fire-and-forget uplink) and once with the
+// reliable protocol enabled (CRC32C framing, per-frame retransmit
+// bookkeeping, cumulative acks over the reverse channel, dedup state,
+// seal-on-settlement). With zero loss no frame should ever be
+// retransmitted, so the delta isolates exactly what --uplink-reliable adds
+// per payload: the frame encode + CRC on the host, the decode + CRC + ack
+// on the collector side, and the ack decode back on the host. Best-of-3 per
+// mode: scheduling noise only ever inflates a run.
 //
-// With --max-overhead-pct the process exits 1 when the overhead exceeds
-// the budget — CI gates at 10%.
+// Exits 2 when a lossless run loses data or the reliable run retransmits
+// anything: either breaks the comparison (and the protocol). With
+// --max-overhead-pct the process exits 1 when the overhead exceeds the
+// budget — CI gates at 10%.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <vector>
 
-#include "analyzer/analyzer.hpp"
-#include "collector/collector.hpp"
-#include "collector/uplink.hpp"
-#include "netsim/network.hpp"
-#include "netsim/upload_channel.hpp"
-#include "resilience/reliable.hpp"
-#include "sketch/wavesketch_full.hpp"
+#include "pipeline/pipeline.hpp"
 #include "telemetry/metrics.hpp"
-#include "workload/generator.hpp"
 
 namespace {
 
 using namespace umon;
 
-/// One chunked pipeline run; returns wall nanoseconds of the driver loop.
+/// One run of the shipped pipeline; returns wall nanoseconds of run().
 double run_once(Nanos duration, bool reliable) {
-  netsim::NetworkConfig cfg;
-  cfg.queue_sample_interval = 0;
-  cfg.seed = 7;
-  auto net = netsim::Network::fat_tree(cfg, 4);
-
-  sketch::WaveSketchParams sp;
-  sp.depth = 3;
-  sp.width = 256;
-  sp.levels = 8;
-  sp.k = 64;
-  std::vector<std::unique_ptr<sketch::WaveSketchFull>> sketches;
-  for (int h = 0; h < net->host_count(); ++h) {
-    sketches.push_back(std::make_unique<sketch::WaveSketchFull>(sp));
-  }
-
-  analyzer::Analyzer an;
-  collector::CollectorConfig ccfg;
-  ccfg.shards = 2;
-  collector::Collector col(ccfg, an);
-
-  netsim::UploadChannelConfig ucfg;
-  ucfg.seed = 7;
-  netsim::UploadChannel forward(ucfg, nullptr);
-  netsim::UploadChannelConfig rcfg;
-  rcfg.seed = 7 ^ 0xAC4BAC4ULL;
-  netsim::UploadChannel reverse(rcfg, nullptr);
-
-  resilience::ReliableConfig rlcfg;
-  rlcfg.enabled = reliable;
-  resilience::ReliableLink link(rlcfg, forward, &reverse);
-  forward.set_sink([&link](netsim::UploadChannel::Delivery&& d) {
-    link.on_forward_delivery(std::move(d));
-  });
-  reverse.set_sink([&link](netsim::UploadChannel::Delivery&& d) {
-    link.on_reverse_delivery(std::move(d));
-  });
-  link.set_deliver_hook([&col](int host, std::uint32_t epoch,
-                               std::vector<std::uint8_t>&& payload) {
-    (void)col.submit_report_payload(host, epoch, std::move(payload));
-  });
-
-  net->set_host_tx_hook([&](int host, const PacketRecord& r) {
-    sketches[static_cast<std::size_t>(host)]->update(
-        r.flow, r.timestamp, static_cast<Count>(r.size));
-  });
-
-  workload::WorkloadParams wp;
-  wp.hosts = net->host_count();
-  wp.load = 0.15;
-  wp.duration = duration;
-  wp.seed = 7;
-  workload::Workload w =
-      workload::generate(workload::WorkloadKind::kHadoop, wp);
-  workload::install(w, *net);
-
-  col.start();
-  std::vector<collector::HostUplink> uplinks;
-  for (int h = 0; h < net->host_count(); ++h) {
-    uplinks.emplace_back(h, 64);
-  }
-  struct PendingSeal {
-    int host;
-    std::uint32_t epoch;
-    std::uint32_t end_seq;
-  };
-  std::vector<PendingSeal> awaiting;
-  const Nanos tick = 500 * kMicro;
-  const Nanos horizon = duration + 5 * kMilli;
+  pipeline::Config cfg;
+  cfg.duration = duration;
+  cfg.uplink_reliable = reliable;
+  pipeline::Pipeline p(cfg);
 
   const std::uint64_t t0 = telemetry::monotonic_ns();
-  for (Nanos t = tick; ; t += tick) {
-    if (t > horizon) t = horizon;
-    net->run_until(t);
-    forward.advance_to(t);
-    reverse.advance_to(t);
-    link.tick(t);
-    for (const PendingSeal& s : awaiting) {
-      col.seal_epoch(s.host, s.epoch, s.end_seq);
-    }
-    awaiting.clear();
-    for (int h = 0; h < net->host_count(); ++h) {
-      auto up = uplinks[static_cast<std::size_t>(h)].flush_epoch(
-          *sketches[static_cast<std::size_t>(h)]);
-      for (auto& p : up.payloads) {
-        link.send(h, up.epoch, std::move(p.bytes), t);
-      }
-      awaiting.push_back({h, up.epoch, up.end_seq});
-    }
-    col.drain();
-    if (t >= horizon) break;
-  }
-  net->finish();
-  forward.flush();
-  reverse.flush();
-  link.tick(horizon + tick);
-  for (const PendingSeal& s : awaiting) {
-    col.seal_epoch(s.host, s.epoch, s.end_seq);
-  }
-  col.stop();
+  p.run();
   const double elapsed =
       static_cast<double>(telemetry::monotonic_ns() - t0);
 
-  // A lossless reliable run must be loss-free end to end, or the two modes
-  // are not comparable (and the protocol is broken).
-  if (reliable) {
-    const auto st = link.stats();
-    if (st.epochs_unrecovered != 0 || st.frames_retransmitted != 0) {
-      std::fprintf(stderr,
-                   "lossless reliable run lost data: %llu unrecovered, "
-                   "%llu retransmits\n",
-                   static_cast<unsigned long long>(st.epochs_unrecovered),
-                   static_cast<unsigned long long>(st.frames_retransmitted));
-      std::exit(2);
-    }
+  // A lossless run must be loss-free end to end in both modes, and the
+  // reliable one must never resend, or the modes are not comparable (and
+  // the protocol is broken).
+  const std::uint64_t lost = p.collector_stats().reports_lost;
+  const resilience::ReliableStats rs = p.link()->stats();
+  if (lost != 0 || rs.epochs_unrecovered != 0 ||
+      rs.frames_retransmitted != 0) {
+    std::fprintf(stderr,
+                 "lossless %s run: %llu reports lost, %llu epochs "
+                 "unrecovered, %llu frames retransmitted\n",
+                 reliable ? "reliable" : "passthrough",
+                 static_cast<unsigned long long>(lost),
+                 static_cast<unsigned long long>(rs.epochs_unrecovered),
+                 static_cast<unsigned long long>(rs.frames_retransmitted));
+    std::exit(2);
   }
   return elapsed;
 }

@@ -1,132 +1,40 @@
 // umon_sim: command-line driver for full uMon experiments.
 //
-// Runs a workload on the fat-tree simulator with uFlow (WaveSketch at every
-// host) and uEvent (CE match + PSN sampling + mirror at every switch)
-// attached, then prints the analyzer's view: accuracy, bandwidth, events.
+// Parses flags into a umon::pipeline Config plus taps, runs the pipeline on
+// the fat-tree simulator (src/pipeline/pipeline.hpp), and prints the
+// analyzer's view: accuracy, bandwidth, events, and one section per tap.
 //
-// Usage:
-//   umon_sim [--workload websearch|hadoop] [--load 0.15] [--ms 20]
-//            [--sample-bits 6] [--k 64] [--width 256] [--depth 3]
-//            [--pfc] [--dctcp] [--seed 7]
-//            [--collector-shards N] [--report-loss F]
-//            [--metrics-out FILE] [--trace-out FILE] [--log-level LEVEL]
-//            [--health-out FILE] [--health-interval US] [--health-alarms R]
-//            [--fault-plan FILE] [--uplink-reliable] [--uplink-retx-buffer N]
-//            [--gap-fill] [--require-recovered]
-//            [--store-dir DIR] [--store-tier-budget K]
-//            [--disk-fault-plan FILE] [--scrub-interval N]
-//            [--scrub-audit FILE]
-//            [--prof-out FILE] [--lineage-out FILE]
-//            [--serve-port N] [--serve-port-file FILE] [--serve-linger S]
+//   --workload websearch|hadoop --load F --ms N --seed N   traffic
+//   --sample-bits N --k N --width N --depth N --pfc --dctcp
+//   --collector-shards N --report-loss F   collection tier instead of
+//                                          in-process ingest
+//   --metrics-out FILE --trace-out FILE    Prometheus snapshot / Chrome trace
+//   --log-level trace|debug|info|warn|error|off
+//   --health-out FILE --health-interval US --health-alarms 'rule; ...'
+//                                          health JSONL (+ FILE.html); the
+//                                          interval is the epoch tick
+//   --fault-plan FILE --uplink-reliable --uplink-retx-buffer N --gap-fill
+//   --require-recovered                    exit 1 on an unrecovered epoch or
+//                                          a corrupt record after reopen
+//   --store-dir DIR --store-tier-budget K  durable segment store
+//   --disk-fault-plan FILE --scrub-interval N --scrub-audit FILE
+//   --prof-out FILE --lineage-out FILE     folded stacks / lineage audit
+//   --serve-port N --serve-port-file FILE --serve-linger S
 //
-// With --collector-shards (or --report-loss) the host sketches reach the
-// analyzer through the full collection tier — per-host uplink encode, the
-// simulated lossy upload channel, and the sharded collector — instead of
-// being ingested in-process.
-//
-// --metrics-out writes a Prometheus text snapshot of the pipeline's own
-// telemetry; --trace-out writes Chrome trace_event JSON (open it in
-// chrome://tracing or ui.perfetto.dev). Either flag turns on detailed
-// self-monitoring (latency histograms, spans), implies the collector tier,
-// and appends a self-monitoring summary to the report. --log-level
-// trace|debug|info|warn|error|off controls the structured logger (default
-// warn).
-//
-// --health-out FILE turns on continuous health monitoring: the run switches
-// to a chunked simulation loop that flushes one measurement epoch per
-// sampling interval through the collector tier *while the workload runs*,
-// samples every instrument into umon::health's ring store, tracks
-// end-to-end freshness watermarks (packet event -> sketch seal -> collector
-// decode -> analyzer curve), scores a live reconstruction-fidelity probe,
-// and evaluates alarm rules. FILE gets the umon-health-v1 JSONL dump and
-// FILE.html a self-contained dashboard. --health-interval is the sampling
-// cadence in microseconds (default 500, min 100); --health-alarms overrides
-// the default rule set (';'-separated, see src/health/alarm.hpp). Health
-// output is byte-identical across runs with the same seed as long as the
-// wall-clock-based detail instrumentation stays off (no --metrics-out /
-// --trace-out).
-//
-// --fault-plan FILE loads a deterministic chaos schedule (see
-// src/resilience/fault_plan.hpp for the format): burst loss, duplication,
-// reordering, bit corruption, host stalls, and collector shard
-// crash/restarts, all driven by the plan's seed so two runs of the same
-// plan are byte-identical. --uplink-reliable turns on the retransmitting
-// uplink protocol (CRC32C frames, cumulative ACK + NACK over a lossy
-// reverse channel, bounded retransmit buffer — size it with
-// --uplink-retx-buffer). Epochs that exhaust their retries are declared
-// lost and the affected analyzer windows carry confidence flags;
-// --gap-fill additionally interpolates across lost windows on read.
-// --require-recovered exits non-zero if any epoch went unrecovered (the CI
-// chaos gate). Either flag implies the collector tier and the chunked
-// simulation loop.
-//
-// --disk-fault-plan FILE feeds the same plan format's `disk-*` directives
-// (write failures, short writes, lying fsyncs, seeded media rot, crash
-// points — see src/store/io.hpp) into the segment store's injectable I/O
-// shim; it requires --store-dir and implies the chunked loop so epoch
-// seals interleave with the workload. --scrub-interval N re-verifies every
-// sealed segment's record CRCs against the raw disk bytes every N ticks
-// (and once at the end of the run); corrupt records are quarantined, their
-// windows flagged lost, and read-repaired from a coarser tier when a
-// shadow survives. --scrub-audit FILE streams one deterministic JSONL line
-// per scrub pass (findings with segment/offset/span and the
-// quarantine/repair outcome). With a store, --require-recovered
-// additionally reopens the store read-only after the run and fails unless
-// that final scrub is clean — the "no corrupt byte is ever served" gate.
-// A `disk-abort` kill point makes the process _exit(86)
-// (store::kDiskAbortExitCode) mid-run; rerun without the plan to watch
-// recovery.
-//
-// --prof-out FILE turns on the always-on cycle profiler (umon::obs): every
-// instrumented hot path — Count-Min update, Haar butterfly, top-K offer,
-// uplink encode, shard decode, epoch flush, store append, page cache,
-// query execute — is rdtsc-sampled 1-in-N, FILE gets flamegraph-compatible
-// folded stacks (render with flamegraph.pl), and the report gains a
-// cycles-per-packet attribution table. --lineage-out FILE turns on report
-// lineage tracing: every (host, epoch) report batch is tracked from its
-// uplink flush through frames, retransmits, shard decode, analyzer ingest,
-// and store spill to its final confidence verdict; FILE gets the per-epoch
-// audit JSONL (deterministic for a fixed seed) and, combined with
-// --trace-out, the Chrome trace shows each epoch's hops causally linked by
-// flow arrows. --lineage-out implies the collector tier and the chunked
-// loop.
-//
-// --store-dir DIR attaches the durable segment store (umon::store): every
-// curve fragment the analyzer ingests is written through to append-only
-// segment files under DIR, sealed per epoch (fsync barrier), and tiered by
-// the wavelet compactor as it ages. Reopen the directory afterwards with
-// umon_query. --store-tier-budget K sets the per-flow-chunk coefficient
-// budget (tier-1 keeps K/2, tier-2 keeps K/4; default 64).
-//
-// --serve-port N embeds the live observability plane (umon::serve): a
-// single-threaded epoll HTTP/1.1 server on 127.0.0.1:N (N=0 picks an
-// ephemeral port; --serve-port-file writes the bound port for scripts)
-// exposing /metrics, /health, /health/alarms, /dashboard, /prof,
-// /lineage[/{host}/{epoch}], /api/v1/query (same parameters and output
-// bytes as umon_query --json/--csv), /api/v1/status, and /api/v1/stream
-// (SSE: per-tick health samples plus curve deltas). Snapshots publish on
-// the simulation's tick cadence — never the wall clock — so the served
-// bytes stay deterministic for a fixed seed. After the report prints,
-// --serve-linger S keeps the server up for at most S seconds (or until
-// GET /api/v1/shutdown) so external scrapers can read the finished run.
+// Any of health, fault plans, the reliable uplink, disk faults or lineage
+// chunks the run into --health-interval ticks (default 500 us); otherwise
+// each host uploads one epoch, ingested in-process unless the collector,
+// report loss or self-monitoring flags ask for the collection tier.
 //
 // Example:
 //   ./build/examples/umon_sim --workload hadoop --load 0.35 --sample-bits 4
-//   ./build/examples/umon_sim --collector-shards 4 --report-loss 0.01
-//   ./build/examples/umon_sim --metrics-out metrics.prom --trace-out t.json
 //   ./build/examples/umon_sim --health-out health.jsonl --report-loss 0.05
-//   ./build/examples/umon_sim --fault-plan tools/faultplans/burst_loss.plan
-//       --uplink-reliable --health-out chaos.jsonl   (one command line)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,59 +44,31 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/tracing.hpp"
 
-#include "analyzer/analyzer.hpp"
 #include "analyzer/groundtruth.hpp"
 #include "analyzer/metrics.hpp"
-#include "collector/collector.hpp"
-#include "collector/uplink.hpp"
-#include "health/health.hpp"
-#include "netsim/network.hpp"
-#include "netsim/upload_channel.hpp"
-#include "obs/lineage.hpp"
 #include "obs/prof.hpp"
-#include "resilience/fault_plan.hpp"
-#include "resilience/reliable.hpp"
+#include "pipeline/pipeline.hpp"
 #include "serve/endpoints.hpp"
-#include "serve/server.hpp"
-#include "sketch/wavesketch_full.hpp"
 #include "store/io.hpp"
-#include "store/store.hpp"
-#include "uevent/acl.hpp"
-#include "uevent/detector.hpp"
-#include "workload/generator.hpp"
 
 namespace {
 
 using namespace umon;
 
 struct Options {
-  workload::WorkloadKind kind = workload::WorkloadKind::kHadoop;
-  double load = 0.15;
-  Nanos duration = 20 * kMilli;
-  int sample_bits = 6;
-  std::size_t k = 64;
-  std::uint32_t width = 256;
-  int depth = 3;
-  bool pfc = false;
-  bool dctcp = false;
-  std::uint64_t seed = 7;
-  int collector_shards = 0;  ///< 0 = in-process ingest (no collector tier)
-  double report_loss = 0.0;
+  /// Traffic, sketch, collection-tier and scrub flags; --health-interval is
+  /// `tick`. tick and collector_shards are finalized after parsing.
+  pipeline::Config cfg;
   std::string metrics_out;   ///< Prometheus text snapshot path ("" = off)
   std::string trace_out;     ///< Chrome trace JSON path ("" = off)
   std::string log_level;     ///< "" = leave logger at its default (warn)
   std::string health_out;    ///< health JSONL path ("" = health off)
-  Nanos health_interval = 500 * kMicro;
   std::string health_alarms;  ///< "" = HealthMonitor::default_alarms()
   std::string fault_plan;     ///< chaos schedule path ("" = no injection)
-  bool uplink_reliable = false;
-  std::size_t uplink_retx_buffer = 1024;
-  bool gap_fill = false;
   bool require_recovered = false;  ///< exit 1 on any unrecovered epoch
   std::string store_dir;           ///< durable segment store ("" = off)
   std::size_t store_tier_budget = 64;
   std::string disk_fault_plan;  ///< store I/O chaos schedule ("" = off)
-  int scrub_interval = 0;       ///< scrub every N ticks (0 = end-only)
   std::string scrub_audit;      ///< scrub findings JSONL path ("" = off)
   std::string prof_out;     ///< folded-stack output path ("" = profiler off)
   std::string lineage_out;  ///< lineage audit JSONL path ("" = lineage off)
@@ -202,20 +82,17 @@ struct Options {
   }
   [[nodiscard]] bool health_requested() const { return !health_out.empty(); }
   [[nodiscard]] bool store_requested() const { return !store_dir.empty(); }
-  [[nodiscard]] bool resilience_requested() const {
-    // A disk-fault plan rides the chunked loop too: per-tick epoch seals
-    // are what give the I/O shim a syscall stream worth faulting.
-    return uplink_reliable || !fault_plan.empty() || !disk_fault_plan.empty();
-  }
   [[nodiscard]] bool scrub_requested() const {
-    return scrub_interval > 0 || !disk_fault_plan.empty();
+    return cfg.scrub_interval > 0 || !disk_fault_plan.empty();
   }
   [[nodiscard]] bool lineage_requested() const { return !lineage_out.empty(); }
-  /// The chunked loop is what lets faults, retransmits, health samples, and
+  /// Per-tick epochs are what let faults, retransmits, health samples, and
   /// lineage taps interleave with the workload instead of running after it.
+  /// A disk-fault plan needs them too: per-tick epoch seals are what give
+  /// the I/O shim a syscall stream worth faulting.
   [[nodiscard]] bool chunked() const {
-    return health_requested() || resilience_requested() ||
-           lineage_requested();
+    return health_requested() || lineage_requested() || cfg.uplink_reliable ||
+           !fault_plan.empty() || !disk_fault_plan.empty();
   }
 };
 
@@ -232,35 +109,35 @@ bool parse(int argc, char** argv, Options& opt) {
     if (arg == "--workload") {
       const std::string v = next("--workload");
       if (v == "websearch") {
-        opt.kind = workload::WorkloadKind::kWebSearch;
+        opt.cfg.kind = workload::WorkloadKind::kWebSearch;
       } else if (v == "hadoop") {
-        opt.kind = workload::WorkloadKind::kHadoop;
+        opt.cfg.kind = workload::WorkloadKind::kHadoop;
       } else {
         std::fprintf(stderr, "unknown workload '%s'\n", v.c_str());
         return false;
       }
     } else if (arg == "--load") {
-      opt.load = std::atof(next("--load"));
+      opt.cfg.load = std::atof(next("--load"));
     } else if (arg == "--ms") {
-      opt.duration = static_cast<Nanos>(std::atof(next("--ms")) * 1e6);
+      opt.cfg.duration = static_cast<Nanos>(std::atof(next("--ms")) * 1e6);
     } else if (arg == "--sample-bits") {
-      opt.sample_bits = std::atoi(next("--sample-bits"));
+      opt.cfg.sample_bits = std::atoi(next("--sample-bits"));
     } else if (arg == "--k") {
-      opt.k = static_cast<std::size_t>(std::atoi(next("--k")));
+      opt.cfg.k = static_cast<std::size_t>(std::atoi(next("--k")));
     } else if (arg == "--width") {
-      opt.width = static_cast<std::uint32_t>(std::atoi(next("--width")));
+      opt.cfg.width = static_cast<std::uint32_t>(std::atoi(next("--width")));
     } else if (arg == "--depth") {
-      opt.depth = std::atoi(next("--depth"));
+      opt.cfg.depth = std::atoi(next("--depth"));
     } else if (arg == "--pfc") {
-      opt.pfc = true;
+      opt.cfg.pfc = true;
     } else if (arg == "--dctcp") {
-      opt.dctcp = true;
+      opt.cfg.dctcp = true;
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
+      opt.cfg.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
     } else if (arg == "--collector-shards") {
-      opt.collector_shards = std::atoi(next("--collector-shards"));
+      opt.cfg.collector_shards = std::atoi(next("--collector-shards"));
     } else if (arg == "--report-loss") {
-      opt.report_loss = std::atof(next("--report-loss"));
+      opt.cfg.report_loss = std::atof(next("--report-loss"));
     } else if (arg == "--metrics-out") {
       opt.metrics_out = next("--metrics-out");
     } else if (arg == "--trace-out") {
@@ -270,25 +147,25 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (arg == "--health-out") {
       opt.health_out = next("--health-out");
     } else if (arg == "--health-interval") {
-      opt.health_interval =
+      opt.cfg.tick =
           static_cast<Nanos>(std::atof(next("--health-interval"))) * kMicro;
       // The epoch pipeline seals one tick late; the tick must cover the
       // upload channel's base delay + jitter (50 + 20 us) so every payload
       // of epoch N has landed before the N+1 tick seals it.
-      if (opt.health_interval < 100 * kMicro) {
-        opt.health_interval = 100 * kMicro;
+      if (opt.cfg.tick < 100 * kMicro) {
+        opt.cfg.tick = 100 * kMicro;
       }
     } else if (arg == "--health-alarms") {
       opt.health_alarms = next("--health-alarms");
     } else if (arg == "--fault-plan") {
       opt.fault_plan = next("--fault-plan");
     } else if (arg == "--uplink-reliable") {
-      opt.uplink_reliable = true;
+      opt.cfg.uplink_reliable = true;
     } else if (arg == "--uplink-retx-buffer") {
-      opt.uplink_retx_buffer =
+      opt.cfg.uplink_retx_buffer =
           static_cast<std::size_t>(std::atoll(next("--uplink-retx-buffer")));
     } else if (arg == "--gap-fill") {
-      opt.gap_fill = true;
+      opt.cfg.gap_fill = true;
     } else if (arg == "--require-recovered") {
       opt.require_recovered = true;
     } else if (arg == "--store-dir") {
@@ -300,8 +177,8 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (arg == "--disk-fault-plan") {
       opt.disk_fault_plan = next("--disk-fault-plan");
     } else if (arg == "--scrub-interval") {
-      opt.scrub_interval = std::atoi(next("--scrub-interval"));
-      if (opt.scrub_interval < 0) opt.scrub_interval = 0;
+      opt.cfg.scrub_interval = std::atoi(next("--scrub-interval"));
+      if (opt.cfg.scrub_interval < 0) opt.cfg.scrub_interval = 0;
     } else if (arg == "--scrub-audit") {
       opt.scrub_audit = next("--scrub-audit");
     } else if (arg == "--prof-out") {
@@ -371,24 +248,18 @@ int main(int argc, char** argv) {
     obs::prof_enable();
   }
 
-  netsim::NetworkConfig cfg;
-  cfg.queue_sample_interval = 0;
-  cfg.pfc.enabled = opt.pfc;
-  cfg.seed = opt.seed;
-  auto net = netsim::Network::fat_tree(cfg, 4);
-
-  sketch::WaveSketchParams sp;
-  sp.depth = opt.depth;
-  sp.width = opt.width;
-  sp.levels = 8;
-  sp.k = opt.k;
-  std::vector<std::unique_ptr<sketch::WaveSketchFull>> sketches;
-  for (int h = 0; h < net->host_count(); ++h) {
-    sketches.push_back(std::make_unique<sketch::WaveSketchFull>(sp));
+  // The pipeline derives the collection tier from the config and taps;
+  // self-monitoring adds it here because the metrics export reads the
+  // collector's registries. --health-interval only sets the tick of runs
+  // with a per-tick flag; any other run uploads one epoch per host.
+  pipeline::Config& cfg = opt.cfg;
+  if (cfg.collector_shards <= 0 && opt.telemetry_requested()) {
+    cfg.collector_shards = pipeline::Pipeline::kDefaultShards;
   }
+  if (!opt.chunked()) cfg.tick = cfg.horizon();
 
-  // Chaos schedule, parsed before anything allocates so a bad plan exits
-  // fast with a line number.
+  // Taps, each parsed or opened before the run so a bad input exits fast.
+  pipeline::Taps taps;
   std::unique_ptr<resilience::FaultInjector> injector;
   if (!opt.fault_plan.empty()) {
     std::string err;
@@ -398,6 +269,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     injector = std::make_unique<resilience::FaultInjector>(std::move(*plan));
+    taps.faults = injector.get();
   }
   // Disk-fault schedule for the segment store. Same plan format, separate
   // file: the channel injector and the I/O shim each consume their own
@@ -416,20 +288,11 @@ int main(int argc, char** argv) {
     }
     disk_io = std::make_unique<store::FaultyIo>(*plan);
   }
-
-  // The analyzer and (when requested) the collector tier exist before the
-  // simulation starts: health mode streams epochs through them mid-run.
-  analyzer::Analyzer an;
-  an.set_gap_fill(opt.gap_fill);
-  // Lineage tracker outlives every component it taps (link, collector,
-  // analyzer, store all hold raw pointers into it).
   std::unique_ptr<obs::LineageTracker> lineage;
   if (opt.lineage_requested()) {
     lineage = std::make_unique<obs::LineageTracker>();
-    an.set_lineage(lineage.get());
+    taps.lineage = lineage.get();
   }
-  // Durable store: attached as a write-through sink before any ingestion so
-  // every curve fragment the analyzer absorbs also lands in a segment file.
   std::unique_ptr<store::Store> curve_store;
   store::RecoveryInfo store_recovery;
   if (opt.store_requested()) {
@@ -443,77 +306,12 @@ int main(int argc, char** argv) {
                    opt.store_dir.c_str());
       return 2;
     }
-    an.set_curve_sink(curve_store.get());
-    if (lineage) curve_store->set_lineage(lineage.get());
+    taps.store = curve_store.get();
   }
-  const bool use_collector = opt.collector_shards > 0 || opt.report_loss > 0 ||
-                             opt.telemetry_requested() ||
-                             opt.health_requested() ||
-                             opt.resilience_requested();
-  // Kept alive past its stop() so its private registry can be exported.
-  std::unique_ptr<collector::Collector> collector_tier;
-  std::unique_ptr<netsim::UploadChannel> channel;
-  std::unique_ptr<netsim::UploadChannel> reverse;
-  std::unique_ptr<resilience::ReliableLink> link;
-  if (use_collector) {
-    collector::CollectorConfig ccfg;
-    ccfg.shards = opt.collector_shards > 0 ? opt.collector_shards : 2;
-    collector_tier = std::make_unique<collector::Collector>(ccfg, an);
-    if (lineage) collector_tier->set_lineage(lineage.get());
-
-    netsim::UploadChannelConfig ucfg;
-    ucfg.loss_rate = opt.report_loss;
-    ucfg.jitter = 20 * kMicro;
-    ucfg.seed = opt.seed;
-    channel = std::make_unique<netsim::UploadChannel>(ucfg, nullptr);
-    if (opt.uplink_reliable) {
-      // Acks ride their own channel instance with the same loss model — a
-      // reliable protocol over a reliable reverse path would be cheating.
-      netsim::UploadChannelConfig rcfg = ucfg;
-      rcfg.seed = opt.seed ^ 0xAC4BAC4ULL;
-      reverse = std::make_unique<netsim::UploadChannel>(rcfg, nullptr);
-    }
-    if (injector) {
-      // One injector serves both directions: single-threaded send order
-      // keeps the shared RNG stream reproducible.
-      auto hook = [inj = injector.get()](
-                      int host, Nanos now,
-                      std::vector<std::uint8_t>& payload) -> netsim::SendFault {
-        const resilience::FaultAction a = inj->on_send(host, now, payload);
-        return netsim::SendFault{a.drop, a.duplicates, a.extra_delay};
-      };
-      channel->set_fault_hook(hook);
-      if (reverse) reverse->set_fault_hook(hook);
-    }
-
-    // Every payload goes through the ReliableLink — in passthrough mode it
-    // forwards verbatim, so the legacy lossy path is the same bytes.
-    resilience::ReliableConfig rcfg;
-    rcfg.enabled = opt.uplink_reliable;
-    rcfg.retx_buffer_frames = opt.uplink_retx_buffer;
-    link = std::make_unique<resilience::ReliableLink>(rcfg, *channel,
-                                                      reverse.get());
-    if (lineage) link->set_lineage(lineage.get());
-    link->set_deliver_hook(
-        [col = collector_tier.get()](int host, std::uint32_t epoch,
-                                     std::vector<std::uint8_t>&& payload) {
-          // Malformed payloads surface in the end-of-run collector stats.
-          (void)col->submit_report_payload(host, epoch, std::move(payload));
-        });
-    channel->set_sink([l = link.get()](netsim::UploadChannel::Delivery&& d) {
-      l->on_forward_delivery(std::move(d));
-    });
-    if (reverse) {
-      reverse->set_sink([l = link.get()](netsim::UploadChannel::Delivery&& d) {
-        l->on_reverse_delivery(std::move(d));
-      });
-    }
-  }
-
   std::unique_ptr<health::HealthMonitor> mon;
   if (opt.health_requested()) {
     health::HealthConfig hcfg;
-    hcfg.interval = opt.health_interval;
+    hcfg.interval = cfg.tick;
     hcfg.alarms = opt.health_alarms;
     mon = std::make_unique<health::HealthMonitor>(hcfg);
     if (!mon->alarm_parse_error().empty()) {
@@ -521,34 +319,43 @@ int main(int argc, char** argv) {
                    mon->alarm_parse_error().c_str());
       return 2;
     }
-    mon->add_registry(&telemetry::MetricRegistry::global());
-    mon->add_registry(&collector_tier->telemetry_registry());
-    if (link) mon->add_registry(&link->telemetry_registry());
-    if (curve_store) mon->add_registry(&curve_store->telemetry_registry());
-    mon->set_analyzer(&an);
-    collector_tier->set_decode_event_hook([m = mon.get()](Nanos t) {
-      m->watermarks().note(health::Stage::kCollectorDecode, t);
-    });
-    collector_tier->set_curve_event_hook([m = mon.get()](Nanos t) {
-      m->watermarks().note(health::Stage::kAnalyzerCurve, t);
-    });
+    taps.health = mon.get();
   }
+  std::ofstream scrub_audit_os;
+  if (!opt.scrub_audit.empty()) {
+    scrub_audit_os.open(opt.scrub_audit);
+    if (!scrub_audit_os) {
+      std::fprintf(stderr, "cannot write %s\n", opt.scrub_audit.c_str());
+      return 1;
+    }
+    taps.scrub_audit = &scrub_audit_os;
+  }
+  analyzer::GroundTruth truth;
+  taps.truth = &truth;
 
   // Live observability plane: the server thread owns every socket; the
-  // driver only publishes snapshot strings and SSE events into it (both
-  // internally synchronized), so nothing here slows the packet path.
+  // pipeline only publishes snapshot strings and SSE events into it (both
+  // internally synchronized), so nothing here slows the packet path. It is
+  // started once the pipeline exists, whose registries it serves; the
+  // pipeline stops it before they go away.
   std::unique_ptr<serve::Server> http_server;
   std::unique_ptr<serve::Endpoints> http_endpoints;
   if (opt.serve_requested()) {
     serve::ServeConfig scfg;
     scfg.port = static_cast<std::uint16_t>(opt.serve_port);
     http_server = std::make_unique<serve::Server>(scfg);
+    taps.serve = http_server.get();
+  }
+
+  pipeline::Pipeline p(cfg, taps);
+
+  if (http_server) {
     serve::Services svc;
     svc.registries.push_back(&telemetry::MetricRegistry::global());
-    if (collector_tier) {
-      svc.registries.push_back(&collector_tier->telemetry_registry());
+    if (p.collector() != nullptr) {
+      svc.registries.push_back(&p.collector()->telemetry_registry());
+      svc.registries.push_back(&p.link()->telemetry_registry());
     }
-    if (link) svc.registries.push_back(&link->telemetry_registry());
     if (curve_store) {
       svc.registries.push_back(&curve_store->telemetry_registry());
       svc.store = curve_store.get();
@@ -572,418 +379,29 @@ int main(int argc, char** argv) {
     }
   }
 
-  analyzer::GroundTruth truth;
-  std::uint64_t packets = 0;
-  net->set_host_tx_hook([&, m = mon.get()](int host, const PacketRecord& r) {
-    ++packets;
-    truth.add(r.flow, r.timestamp, r.size);
-    sketches[static_cast<std::size_t>(host)]->update(
-        r.flow, r.timestamp, static_cast<Count>(r.size));
-    if (m != nullptr) {
-      m->watermarks().note(health::Stage::kPacketEvent, r.timestamp);
-      m->probe().observe(r.flow, r.timestamp, r.size);
-    }
-  });
-
-  uevent::EventScorer scorer;
-  uevent::AclMirror mirror(
-      uevent::AclRule::ce_sampled(opt.sample_bits),
-      [&scorer](const uevent::MirroredPacket& m) { scorer.collect(m); });
-  net->set_switch_enqueue_hook(
-      [&](netsim::PortId port, const PacketRecord& pkt) {
-        mirror.on_switch_enqueue(port, pkt, pkt.timestamp);
-      });
-
-  workload::WorkloadParams wp;
-  wp.hosts = net->host_count();
-  wp.load = opt.load;
-  wp.duration = opt.duration;
-  wp.seed = opt.seed;
-  workload::Workload w = workload::generate(opt.kind, wp);
-  if (opt.dctcp) {
-    for (auto& f : w.flows) f.use_dctcp = true;
-  }
-  workload::install(w, *net);
-
-  collector::CollectorStats cstats;
-  std::uint64_t payloads_dropped = 0;
-  const Nanos horizon = opt.duration + 5 * kMilli;
-
-  // Scrub plane: periodic CRC re-verification of the sealed segments
-  // against the raw disk bytes, with every pass accumulated for the report
-  // and (optionally) streamed to a JSONL audit. Everything in the audit is
-  // derived from the seeded simulation — pass index, segment ids, file
-  // offsets — so two same-seed chaos runs write byte-identical audits.
-  store::ScrubReport scrub_total;
-  std::uint64_t scrub_passes = 0;
-  std::ofstream scrub_audit_os;
-  if (!opt.scrub_audit.empty()) {
-    scrub_audit_os.open(opt.scrub_audit);
-    if (!scrub_audit_os) {
-      std::fprintf(stderr, "cannot write %s\n", opt.scrub_audit.c_str());
-      return 1;
-    }
-  }
-  auto run_scrub = [&] {
-    if (!curve_store) return;
-    const store::ScrubReport r = curve_store->scrub();
-    ++scrub_passes;
-    scrub_total.segments_scanned += r.segments_scanned;
-    scrub_total.bytes_scanned += r.bytes_scanned;
-    scrub_total.records_verified += r.records_verified;
-    scrub_total.corrupt_records += r.corrupt_records;
-    scrub_total.chunks_quarantined += r.chunks_quarantined;
-    scrub_total.chunks_repaired += r.chunks_repaired;
-    scrub_total.windows_lost += r.windows_lost;
-    scrub_total.findings.insert(scrub_total.findings.end(),
-                                r.findings.begin(), r.findings.end());
-    if (scrub_audit_os) {
-      scrub_audit_os << "{\"type\":\"scrub\",\"pass\":" << scrub_passes
-                     << ",\"segments\":" << r.segments_scanned
-                     << ",\"bytes\":" << r.bytes_scanned
-                     << ",\"records\":" << r.records_verified
-                     << ",\"corrupt\":" << r.corrupt_records
-                     << ",\"quarantined\":" << r.chunks_quarantined
-                     << ",\"repaired\":" << r.chunks_repaired
-                     << ",\"windows_lost\":" << r.windows_lost
-                     << ",\"findings\":[";
-      for (std::size_t i = 0; i < r.findings.size(); ++i) {
-        const store::ScrubFinding& f = r.findings[i];
-        scrub_audit_os << (i > 0 ? "," : "") << "{\"segment\":" << f.segment_id
-                       << ",\"tier\":" << static_cast<int>(f.tier)
-                       << ",\"offset\":" << f.offset
-                       << ",\"length\":" << f.length
-                       << ",\"quarantined\":" << f.chunks_quarantined
-                       << ",\"repaired\":" << f.chunks_repaired << "}";
-      }
-      scrub_audit_os << "]}\n";
-      scrub_audit_os.flush();
-    }
-  };
-
-  // Durability barrier: fsync everything the analyzer has absorbed so far
-  // into the segment store, then let the compactor age sealed segments. The
-  // store-seal watermark advances to the analyzer-curve frontier — the store
-  // just made durable exactly what the analyzer had ingested.
-  std::uint64_t checkpoint_n = 0;
-  auto store_checkpoint = [&] {
-    if (!curve_store) return;
-    (void)curve_store->seal_epoch();
-    curve_store->maintain();
-    ++checkpoint_n;
-    if (opt.scrub_interval > 0 &&
-        checkpoint_n % static_cast<std::uint64_t>(opt.scrub_interval) == 0) {
-      run_scrub();
-    }
-    if (mon) {
-      const Nanos hi =
-          mon->watermarks().high(health::Stage::kAnalyzerCurve);
-      if (hi != health::Watermarks::kUnset) {
-        mon->watermarks().note(health::Stage::kStoreSeal, hi);
-      }
-    }
-  };
-
-  // Publish the serve tier's snapshot slots and SSE events. Driven by the
-  // simulation clock (tick boundaries and the end of the run), never the
-  // wall clock, so two same-seed runs serve byte-identical artifacts to
-  // an identical request script.
-  std::uint64_t serve_last_generation = 0;
-  auto serve_publish = [&](Nanos now) {
-    if (!http_server) return;
-    if (mon) {
-      std::ostringstream hj;
-      mon->write_jsonl(hj);
-      http_server->set_snapshot("health_jsonl", hj.str());
-      std::ostringstream ha;
-      mon->write_alarms_jsonl(ha);
-      http_server->set_snapshot("health_alarms", ha.str());
-      std::ostringstream hh;
-      mon->write_html(hh, /*live=*/true);
-      http_server->set_snapshot("health_html", hh.str());
-      std::ostringstream ls;
-      mon->write_live_sample(ls);
-      http_server->broadcast_sse("tick", ls.str());
-    }
-    std::size_t store_flow_count = 0;
-    if (curve_store) store_flow_count = curve_store->flows().size();
-    std::ostringstream st;
-    st << "{\"t_ns\":" << now << ",\"packets\":" << packets
-       << ",\"healthy\":"
-       << (mon == nullptr || mon->healthy() ? "true" : "false");
-    if (curve_store) {
-      st << ",\"store_generation\":" << curve_store->generation()
-         << ",\"store_flows\":" << store_flow_count;
-    }
-    st << "}\n";
-    http_server->set_snapshot("status", st.str());
-    if (curve_store) {
-      const std::uint64_t gen = curve_store->generation();
-      if (gen != serve_last_generation) {
-        serve_last_generation = gen;
-        std::ostringstream cd;
-        cd << "{\"type\":\"curve\",\"t_ns\":" << now
-           << ",\"generation\":" << gen
-           << ",\"flows\":" << store_flow_count;
-        const auto sealed = curve_store->last_sealed_epoch();
-        if (sealed.has_value()) {
-          cd << ",\"last_sealed_epoch\":" << *sealed;
-        }
-        cd << "}";
-        http_server->broadcast_sse("curve", cd.str());
-      }
-    }
-  };
-
-  if (opt.chunked()) {
-    // --- chunked pipeline loop ----------------------------------------------
-    // Chunk the simulation by the sampling interval. Each tick: apply due
-    // shard crash/restarts, run the network, settle its counters, deliver
-    // upload payloads and acks that are due, drive retransmit timers, seal
-    // epochs whose delivery has settled (flagging the windows of epochs the
-    // protocol declared lost), flush a fresh epoch from every non-stalled
-    // host, then drain the collector so every instrument is quiescent
-    // before the health sample is taken.
-    collector::Collector& col = *collector_tier;
-    const Nanos tick_len = opt.health_interval;
-    std::vector<collector::HostUplink> uplinks;
-    uplinks.reserve(static_cast<std::size_t>(net->host_count()));
-    for (int h = 0; h < net->host_count(); ++h) {
-      uplinks.emplace_back(h, /*max_reports_per_payload=*/64);
-    }
-    struct PendingSeal {
-      int host;
-      std::uint32_t epoch;
-      std::uint32_t end_seq;
-      WindowId wfrom;  ///< first window this epoch covers
-      WindowId wto;    ///< exclusive
-      Nanos end_time;  ///< event time the epoch runs up to
-    };
-    std::vector<PendingSeal> awaiting;
-    std::vector<Nanos> last_flush(
-        static_cast<std::size_t>(net->host_count()), 0);
-
-    // Sequence-gap losses found at seal time flag the epoch's windows, so
-    // an unrecovered (or unprotected) loss can never read back as a
-    // genuinely idle window.
-    std::map<std::uint64_t, std::pair<WindowId, WindowId>> epoch_windows;
-    col.set_epoch_loss_hook([&](int host, std::uint32_t epoch,
-                                std::uint64_t lost) {
-      if (lost == 0) return;
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(host))
-           << 32) | epoch;
-      auto it = epoch_windows.find(key);
-      if (it == epoch_windows.end()) return;
-      an.mark_windows(it->second.first, it->second.second,
-                      analyzer::WindowConfidence::kLost);
-      if (lineage) {
-        lineage->on_verdict(static_cast<std::uint32_t>(host), epoch,
-                            obs::Verdict::kLost);
-      }
-    });
-    col.start();
-
-    // Seal every epoch in `awaiting` whose uplink delivery has settled
-    // (always true in passthrough mode: its payloads either landed within
-    // the previous tick or are gone for good). Seals stay in flush order
-    // per host — the collector's gap accounting chains epoch_start_seq
-    // from one seal to the next.
-    auto seal_settled = [&](bool force) {
-      std::set<int> blocked;
-      auto it = awaiting.begin();
-      while (it != awaiting.end()) {
-        const resilience::EpochStatus st =
-            link->epoch_status(it->host, it->epoch);
-        if ((opt.uplink_reliable && !st.settled && !force) ||
-            blocked.count(it->host) != 0) {
-          blocked.insert(it->host);
-          ++it;
-          continue;
-        }
-        if (opt.uplink_reliable) {
-          if (!st.recovered) {
-            an.mark_windows(it->wfrom, it->wto,
-                            analyzer::WindowConfidence::kLost);
-          } else if (st.retransmitted) {
-            an.mark_windows(it->wfrom, it->wto,
-                            analyzer::WindowConfidence::kRetransmitted);
-          }
-        }
-        if (lineage) {
-          // The protocol's word on the epoch, mirrored into the audit.
-          // Sequence-gap losses found later at seal time upgrade it via
-          // the epoch-loss hook; the tracker keeps the worst.
-          obs::Verdict v = obs::Verdict::kCovered;
-          if (opt.uplink_reliable) {
-            if (!st.recovered) {
-              v = obs::Verdict::kLost;
-            } else if (st.retransmitted) {
-              v = obs::Verdict::kRetransmitted;
-            }
-          }
-          lineage->on_verdict(static_cast<std::uint32_t>(it->host),
-                              it->epoch, v);
-        }
-        col.seal_epoch(it->host, it->epoch, it->end_seq);
-        // Settlement is the resilience watermark: every frame of this
-        // epoch was delivered or explicitly declared lost.
-        if (mon) {
-          mon->watermarks().note(health::Stage::kResilience, it->end_time);
-        }
-        it = awaiting.erase(it);
-      }
-    };
-
-    if (mon) mon->prime(0);
-    Nanos t = 0;
-    for (t = tick_len; ; t += tick_len) {
-      if (t > horizon) t = horizon;
-      if (injector) {
-        for (const auto& ev : injector->take_due_shard_events(t)) {
-          if (ev.restart) {
-            col.restart_shard(ev.shard);
-          } else {
-            col.crash_shard(ev.shard);
-          }
-        }
-      }
-      net->run_until(t);
-      net->settle_telemetry();
-      channel->advance_to(t);
-      if (reverse) reverse->advance_to(t);
-      link->tick(t);
-      // Quiesce the shards before sealing: seal-time accounting (sequence
-      // gaps, crash damage) must see every batch the workers were handed.
-      col.drain();
-      seal_settled(/*force=*/false);
-      for (int h = 0; h < net->host_count(); ++h) {
-        if (injector != nullptr && injector->host_stalled(h, t)) {
-          continue;  // the sketch keeps accumulating; next flush covers it
-        }
-        auto up = uplinks[static_cast<std::size_t>(h)].flush_epoch(
-            *sketches[static_cast<std::size_t>(h)]);
-        if (mon) mon->watermarks().note(health::Stage::kSketchSeal, t);
-        const std::size_t hi = static_cast<std::size_t>(h);
-        PendingSeal ps{h, up.epoch, up.end_seq,
-                       window_of(last_flush[hi]), window_of(t), t};
-        epoch_windows[(static_cast<std::uint64_t>(
-                           static_cast<std::uint32_t>(h))
-                       << 32) | up.epoch] = {ps.wfrom, ps.wto};
-        if (lineage) {
-          lineage->on_uplink_flush(static_cast<std::uint32_t>(h), up.epoch,
-                                   static_cast<std::uint32_t>(up.reports),
-                                   static_cast<std::uint32_t>(
-                                       up.payloads.size()),
-                                   static_cast<std::uint64_t>(t), ps.wfrom,
-                                   ps.wto);
-        }
-        last_flush[hi] = t;
-        for (auto& p : up.payloads) {
-          link->send(h, up.epoch, std::move(p.bytes), t);
-        }
-        awaiting.push_back(ps);
-      }
-      col.drain();
-      store_checkpoint();
-      if (mon) mon->tick(t);
-      serve_publish(t);
-      if (t >= horizon) break;
-    }
-    net->finish();
-
-    if (opt.uplink_reliable) {
-      // Settlement tail: keep stepping simulated time so in-flight frames,
-      // acks, and retransmits can land. Bounded — a frame that cannot make
-      // it within the retry budget expires rather than spinning forever.
-      int rounds = 0;
-      while (!link->all_settled() && rounds++ < 256) {
-        t += tick_len;
-        channel->advance_to(t);
-        if (reverse) reverse->advance_to(t);
-        link->tick(t);
-      }
-      link->expire_outstanding();
-      channel->flush();
-      if (reverse) reverse->flush();
-    } else {
-      channel->flush();
-    }
-    col.drain();
-    seal_settled(/*force=*/true);
-    col.submit_mirror_batch(scorer.mirrored());
-    col.stop();
-    cstats = col.stats();
-    payloads_dropped = channel->payloads_dropped();
-    // The tail seals above flushed the last epochs into the analyzer (and
-    // its spill sink); one final checkpoint makes them durable.
-    store_checkpoint();
-    // Final sample: the tail seals above are where sequence-gap losses are
-    // accounted, so the closing tick is what lets a loss alarm fire even
-    // when the loss only materializes at shutdown.
-    if (mon) mon->tick(horizon + tick_len);
-    serve_publish(horizon + tick_len);
-  } else {
-    net->run_until(horizon);
-    net->finish();
-
-    if (use_collector) {
-      // Full collection tier: uplink encode -> lossy upload channel ->
-      // sharded collector -> analyzer, one epoch covering the whole run.
-      collector::Collector& col = *collector_tier;
-      col.start();
-      std::vector<std::uint32_t> end_seq(
-          static_cast<std::size_t>(net->host_count()), 0);
-      for (int h = 0; h < net->host_count(); ++h) {
-        collector::HostUplink up(h, /*max_reports_per_payload=*/64);
-        auto upload =
-            up.flush_epoch(*sketches[static_cast<std::size_t>(h)]);
-        end_seq[static_cast<std::size_t>(h)] = upload.end_seq;
-        for (auto& p : upload.payloads) {
-          // In-transit drops are the point of --report-loss; the channel
-          // tallies them and seal_epoch() accounts the sequence gaps. The
-          // link runs in passthrough here (reliable mode forces the
-          // chunked loop above).
-          link->send(h, upload.epoch, std::move(p.bytes), /*now=*/0);
-        }
-      }
-      channel->flush();
-      for (int h = 0; h < net->host_count(); ++h) {
-        col.seal_epoch(h, 0, end_seq[static_cast<std::size_t>(h)]);
-      }
-      col.submit_mirror_batch(scorer.mirrored());
-      col.stop();
-      cstats = col.stats();
-      payloads_dropped = channel->payloads_dropped();
-    } else {
-      for (int h = 0; h < net->host_count(); ++h) {
-        an.ingest_host_sketch(h, *sketches[static_cast<std::size_t>(h)]);
-      }
-      an.ingest_mirrored(scorer.mirrored());
-    }
-    store_checkpoint();
-    serve_publish(horizon);
-  }
+  p.run();
+  const netsim::Network& net = p.network();
+  analyzer::Analyzer& an = p.analyzer();
 
   std::printf("uMon simulation report\n");
   std::printf("  workload:        %s, %.0f%% load, %.1f ms, %s%s\n",
-              workload::to_string(opt.kind).c_str(), opt.load * 100,
-              static_cast<double>(opt.duration) / 1e6,
-              opt.dctcp ? "DCTCP" : "DCQCN", opt.pfc ? " + PFC" : "");
-  std::printf("  flows / packets: %zu / %llu\n", w.flows.size(),
-              static_cast<unsigned long long>(packets));
+              workload::to_string(cfg.kind).c_str(), cfg.load * 100,
+              static_cast<double>(cfg.duration) / 1e6,
+              cfg.dctcp ? "DCTCP" : "DCQCN", cfg.pfc ? " + PFC" : "");
+  std::printf("  flows / packets: %zu / %llu\n", p.workload().flows.size(),
+              static_cast<unsigned long long>(p.packets()));
   std::printf("  drops:           %llu\n",
-              static_cast<unsigned long long>(net->total_drops()));
-  if (opt.pfc) {
+              static_cast<unsigned long long>(net.total_drops()));
+  if (cfg.pfc) {
     std::printf("  PFC pauses:      %llu (total paused %.1f us)\n",
-                static_cast<unsigned long long>(net->pfc_stats().pause_frames),
-                static_cast<double>(net->pfc_stats().total_paused) / 1e3);
+                static_cast<unsigned long long>(net.pfc_stats().pause_frames),
+                static_cast<double>(net.pfc_stats().total_paused) / 1e3);
   }
 
   // uFlow accuracy over heavy flows.
   double cos = 0, are = 0;
   int evaluated = 0;
-  for (const auto& f : w.flows) {
+  for (const auto& f : p.workload().flows) {
     if (f.bytes < 100'000) continue;
     const auto t = truth.series(f.key);
     const auto est = an.query_rate(f.key);
@@ -997,20 +415,20 @@ int main(int argc, char** argv) {
     are += m.are;
     ++evaluated;
   }
-  std::printf("\nuFlow (WaveSketch d=%d w=%u K=%zu)\n", opt.depth, opt.width,
-              opt.k);
+  std::printf("\nuFlow (WaveSketch d=%d w=%u K=%zu)\n", cfg.depth, cfg.width,
+              cfg.k);
   if (evaluated > 0) {
     std::printf("  heavy flows evaluated: %d\n", evaluated);
     std::printf("  avg cosine similarity: %.4f\n", cos / evaluated);
     std::printf("  avg relative error:    %.4f\n", are / evaluated);
   }
-  const double seconds = static_cast<double>(opt.duration) / 1e9;
+  const double seconds = static_cast<double>(cfg.duration) / 1e9;
   std::printf("  report bandwidth:      %.2f Mbps/host\n",
               static_cast<double>(an.report_bytes_ingested()) * 8 / seconds /
-                  1e6 / net->host_count());
+                  1e6 / net.host_count());
 
   // uEvent summary.
-  const auto scores = scorer.score(*net);
+  const auto scores = p.scorer().score(net);
   std::size_t severe = 0, severe_detected = 0;
   for (const auto& s : scores) {
     if (s.max_queue_bytes >= 200 * 1024) {
@@ -1019,7 +437,7 @@ int main(int argc, char** argv) {
     }
   }
   const auto events = an.events();
-  std::printf("\nuEvent (CE match, 1/%d sampling)\n", 1 << opt.sample_bits);
+  std::printf("\nuEvent (CE match, 1/%d sampling)\n", 1 << cfg.sample_bits);
   std::printf("  ground-truth episodes: %zu (severe: %zu)\n", scores.size(),
               severe);
   if (severe > 0) {
@@ -1033,14 +451,14 @@ int main(int argc, char** argv) {
               static_cast<double>(an.mirror_bytes_ingested()) * 8 / seconds /
                   1e6);
 
-  if (use_collector) {
+  if (p.collector() != nullptr) {
+    const collector::CollectorStats& cstats = p.collector_stats();
     std::printf("\ncollector (%d shards, %.1f%% report loss)\n",
-                opt.collector_shards > 0 ? opt.collector_shards : 2,
-                opt.report_loss * 100);
+                p.collector()->config().shards, cfg.report_loss * 100);
     std::printf("  payloads:        %llu submitted, %llu dropped in channel, "
                 "%llu malformed\n",
                 static_cast<unsigned long long>(cstats.payloads_submitted),
-                static_cast<unsigned long long>(payloads_dropped),
+                static_cast<unsigned long long>(p.payloads_dropped()),
                 static_cast<unsigned long long>(cstats.payloads_malformed));
     std::printf("  reports:         %llu decoded, %llu lost (seq gaps), "
                 "%llu shed\n",
@@ -1048,7 +466,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(cstats.reports_lost),
                 static_cast<unsigned long long>(cstats.reports_shed));
     const char* policy = "block";
-    switch (collector_tier->config().overflow) {
+    switch (p.collector()->config().overflow) {
       case collector::OverflowPolicy::kBlock: policy = "block"; break;
       case collector::OverflowPolicy::kDropNewest: policy = "drop-newest";
         break;
@@ -1075,7 +493,8 @@ int main(int argc, char** argv) {
   }
 
   std::uint64_t epochs_unrecovered = 0;
-  if (link && opt.uplink_reliable) {
+  const resilience::ReliableLink* link = p.link();
+  if (link != nullptr && cfg.uplink_reliable) {
     const resilience::ReliableStats rs = link->stats();
     epochs_unrecovered = rs.epochs_unrecovered;
     std::printf("\nreliable uplink (retx buffer %zu frames)\n",
@@ -1100,7 +519,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(rs.epochs_recovered),
                 static_cast<unsigned long long>(rs.epochs_unrecovered));
   }
-  if (link) {
+  if (link != nullptr) {
     const auto& curves = an.curves();
     const std::size_t retx =
         curves.marked_count(analyzer::WindowConfidence::kRetransmitted);
@@ -1148,7 +567,7 @@ int main(int argc, char** argv) {
   // Closing scrub: whatever rot the plan injected after the last periodic
   // pass must be found, quarantined, and accounted before the report (and
   // before the --require-recovered verdict).
-  if (curve_store && opt.scrub_requested()) run_scrub();
+  if (curve_store && opt.scrub_requested()) p.scrub();
 
   if (curve_store) {
     const store::StoreStats ss = curve_store->stats();
@@ -1194,10 +613,11 @@ int main(int argc, char** argv) {
                   "(recovered on reopen)\n",
                   static_cast<unsigned long long>(ss.seal_failures));
     }
-    if (scrub_passes > 0) {
+    const store::ScrubReport& scrub_total = p.scrub_total();
+    if (p.scrub_passes() > 0) {
       std::printf("  scrub:           %llu pass(es), %zu record(s) verified "
                   "(%.2f MB raw)\n",
-                  static_cast<unsigned long long>(scrub_passes),
+                  static_cast<unsigned long long>(p.scrub_passes()),
                   scrub_total.records_verified,
                   static_cast<double>(scrub_total.bytes_scanned) / 1e6);
       if (scrub_total.corrupt_records > 0) {
@@ -1221,7 +641,7 @@ int main(int argc, char** argv) {
 
   if (mon) {
     std::printf("\nhealth (sampled every %.0f us)\n",
-                static_cast<double>(opt.health_interval) / 1e3);
+                static_cast<double>(cfg.tick) / 1e3);
     std::printf("  samples:         %llu ticks, %zu series\n",
                 static_cast<unsigned long long>(mon->ticks()),
                 mon->store().series_count());
@@ -1319,7 +739,9 @@ int main(int argc, char** argv) {
                         : 0.0;
       std::printf("  %-16s %10llu %7u %14.0f %12.2f %10.1f\n", s.name,
                   static_cast<unsigned long long>(s.samples), s.period, est,
-                  packets > 0 ? est / static_cast<double>(packets) : 0.0,
+                  p.packets() > 0
+                      ? est / static_cast<double>(p.packets())
+                      : 0.0,
                   cpns > 0 ? per_call / cpns : per_call);
     }
     std::printf("  folded stacks:   %s (render: flamegraph.pl %s > "
@@ -1331,7 +753,8 @@ int main(int argc, char** argv) {
   if (opt.telemetry_requested()) {
     const telemetry::MetricRegistry* regs[] = {
         &telemetry::MetricRegistry::global(),
-        collector_tier ? &collector_tier->telemetry_registry() : nullptr};
+        p.collector() != nullptr ? &p.collector()->telemetry_registry()
+                                 : nullptr};
     const auto samples = telemetry::merged_snapshot(regs);
 
     std::printf("\nself-monitoring\n");

@@ -1,6 +1,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -13,6 +14,28 @@ std::string FlowKey::to_string() const {
                 src_ip & 0xFFFF, src_port, dst_ip >> 16, dst_ip & 0xFFFF,
                 dst_port, proto);
   return buf;
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
 }
 
 double Rng::exponential(double mean) {

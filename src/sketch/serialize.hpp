@@ -13,8 +13,8 @@
 // v2 adds the per-report sequence number (so the collector can count gaps
 // left by lost uploads) and an optional flow tag (heavy-part reports carry
 // the flow they are dedicated to, so the analyzer can stitch per-flow curves
-// without host-side state). Version 1 payloads (no flags/seq/flow) still
-// decode; encoding always writes version 2.
+// without host-side state). Only version 2 is encoded or decoded; any other
+// version byte is rejected.
 #pragma once
 
 #include <cstdint>

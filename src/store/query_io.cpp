@@ -4,6 +4,8 @@
 #include <ostream>
 #include <vector>
 
+#include "common/json.hpp"
+
 namespace umon::store {
 namespace {
 
@@ -57,24 +59,6 @@ bool flow_extent_union(const std::vector<FlowExtentRow>& rows, WindowId& lo,
     have = true;
   }
   return have;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 void write_head_json(std::ostream& os, const StoreHead& head) {

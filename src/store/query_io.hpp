@@ -62,9 +62,6 @@ struct FlowExtentRow {
 [[nodiscard]] bool flow_extent_union(const std::vector<FlowExtentRow>& rows,
                                      WindowId& lo, WindowId& hi);
 
-/// Minimal JSON string escape (quotes, backslashes, control bytes).
-[[nodiscard]] std::string json_escape(const std::string& s);
-
 /// `{"store_dir":...,"last_sealed_epoch":...` — opens the object, leaves it
 /// unterminated so a body writer can append. Shared by all JSON writers.
 void write_head_json(std::ostream& os, const StoreHead& head);
