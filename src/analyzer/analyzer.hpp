@@ -4,8 +4,9 @@
 // replays an event by plotting the rate variation of the flows involved.
 //
 // Thread safety: the Analyzer is externally synchronized. The collector tier
-// (umon::collector) decodes in parallel but serializes every sink call (epoch
-// flushes, mirror batches) behind its own mutex; direct in-process users are
+// (umon::collector) decodes in parallel but makes every sink call (epoch
+// flushes, mirror batches, crash-loss marks) on the thread inside its
+// drain()/stop(), one caller at a time; direct in-process users are
 // single-threaded. Do not call mutating and querying members concurrently.
 #pragma once
 

@@ -1,10 +1,12 @@
 #include "collector/collector.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
 #include <map>
 #include <span>
+#include <utility>
 
 #include "obs/lineage.hpp"
 #include "obs/prof.hpp"
@@ -33,23 +35,73 @@ std::uint64_t mix_route(std::uint64_t x) {
 
 }  // namespace
 
-namespace {
+struct Collector::ShardMsg {
+  enum class Kind { kReports, kMirror, kSeal, kBarrier, kCrash, kRestart,
+                    kStop };
+  Kind kind = Kind::kStop;
+  int host = -1;
+  std::uint32_t epoch = 0;
+  std::uint64_t ticket = 0;  ///< kSeal, kMirror: the sink's delivery order
+  std::vector<std::uint8_t> bytes;  ///< kReports: concatenated report frames
+  std::uint32_t report_count = 0;
+  std::vector<uevent::MirroredPacket> mirror;
+  std::shared_ptr<DrainBarrier> barrier;  ///< kBarrier only
+};
 
-/// Rendezvous for Collector::drain(): each shard worker acks once it pops
-/// the barrier message, and because queues are FIFO that ack proves every
-/// earlier message on that shard — including seal processing and any sink
-/// flush it triggered — has completed.
-struct DrainBarrier {
+/// One unit of sink work. A shard worker builds it — a (host, epoch)
+/// staging a batch of decoded fragments until its seal, or a mirror batch —
+/// and the drain()/stop() caller delivers it into the analyzer. Shares of
+/// one seal from different shards carry the same ticket and merge into one
+/// batch.
+struct Collector::Delivery {
+  std::uint64_t ticket = 0;  ///< seal or mirror-batch number
+  int host = -1;
+  std::uint32_t epoch = 0;
+  bool batch = false;  ///< ingest the fragments as (host, epoch)'s batch
+  std::vector<analyzer::Analyzer::SparseFragment> fragments;
+  std::size_t wire_bytes = 0;
+  Nanos max_event_ns = -1;  ///< largest window-end event time decoded
+  std::uint64_t lost = 0;   ///< reports/fragments a crashed shard discarded
+  std::vector<uevent::MirroredPacket> mirror;
+
+  /// Append another shard's share of the same delivery.
+  void absorb(Delivery&& other) {
+    ticket = other.ticket;
+    host = other.host;
+    epoch = other.epoch;
+    batch = batch || other.batch;
+    fragments.insert(fragments.end(),
+                     std::make_move_iterator(other.fragments.begin()),
+                     std::make_move_iterator(other.fragments.end()));
+    wire_bytes += other.wire_bytes;
+    max_event_ns = std::max(max_event_ns, other.max_event_ns);
+    lost += other.lost;
+    mirror.insert(mirror.end(), std::make_move_iterator(other.mirror.begin()),
+                  std::make_move_iterator(other.mirror.end()));
+  }
+};
+
+/// Rendezvous for drain(): each shard worker acks once it pops the barrier
+/// message and hands over the deliveries it finished. Queues are FIFO, so
+/// the ack proves every earlier message on that shard was processed; seals
+/// and barriers are pushed under one mutex, so the hand-over holds that
+/// shard's share of every seal issued before the drain.
+struct Collector::DrainBarrier {
+  explicit DrainBarrier(int shards)
+      : handed(static_cast<std::size_t>(shards)) {}
+
   std::mutex mu;
   std::condition_variable cv;
   int acks = 0;
   int live_acks = 0;  ///< acks from shards that were not crashed
+  std::vector<std::vector<Delivery>> handed;  ///< per shard, in queue order
 
-  void ack(bool live) {
+  void ack(int shard, bool live, std::vector<Delivery> done) {
     {
       std::lock_guard lock(mu);
       acks += 1;
       if (live) live_acks += 1;
+      handed[static_cast<std::size_t>(shard)] = std::move(done);
     }
     cv.notify_all();
   }
@@ -60,35 +112,19 @@ struct DrainBarrier {
   }
 };
 
-}  // namespace
-
-struct Collector::ShardMsg {
-  enum class Kind { kReports, kMirror, kSeal, kBarrier, kCrash, kRestart,
-                    kStop };
-  Kind kind = Kind::kStop;
-  int host = -1;
-  std::uint32_t epoch = 0;
-  std::vector<std::uint8_t> bytes;  ///< kReports: concatenated report frames
-  std::uint32_t report_count = 0;
-  std::vector<uevent::MirroredPacket> mirror;
-  std::shared_ptr<DrainBarrier> barrier;  ///< kBarrier only
-};
-
 struct Collector::Shard {
-  struct StagedEpoch {
-    std::vector<analyzer::Analyzer::SparseFragment> fragments;
-    std::size_t wire_bytes = 0;
-    Nanos max_event_ns = -1;  ///< largest window-end event time decoded
-  };
-
   Shard(std::size_t capacity, OverflowPolicy policy)
       : queue(capacity, policy) {}
 
   BatchQueue<ShardMsg> queue;
-  /// Touched only by this shard's worker thread (and by stop() after join).
-  std::unordered_map<std::uint64_t, StagedEpoch> staging;
-  /// Crash state. Only the worker thread writes it (kCrash/kRestart are
-  /// ordinary queue messages), so no synchronization is needed.
+  // Touched only by this shard's worker thread (and by stop() after join).
+  /// Decoded fragments per (host, epoch) key, waiting for the seal.
+  std::unordered_map<std::uint64_t, Delivery> staging;
+  /// Crash damage per key, filed with the key's next seal share.
+  std::unordered_map<std::uint64_t, std::uint64_t> damage;
+  /// Seal shares and mirror batches for the next drain()/stop() caller.
+  std::vector<Delivery> done;
+  /// Crash state. kCrash/kRestart are ordinary queue messages.
   bool down = false;
 };
 
@@ -103,15 +139,6 @@ struct Collector::HostSeqState {
     std::uint32_t max_seq_next = 0;  ///< highest (seq + 1) seen in it
   };
   std::map<std::uint32_t, EpochRecv> received_by_epoch;
-};
-
-struct Collector::PendingEpoch {
-  int host = -1;
-  std::uint32_t epoch = 0;
-  std::vector<analyzer::Analyzer::SparseFragment> fragments;
-  std::size_t wire_bytes = 0;
-  Nanos max_event_ns = -1;  ///< max across the contributing shards
-  int acks = 0;  ///< shards that have drained their share
 };
 
 /// Every counter lives in the collector's private registry so stats() can
@@ -246,53 +273,41 @@ void Collector::stop() {
   workers_.clear();
   running_ = false;
 
-  // Flush whatever never got sealed (end of run): merge the per-shard
-  // staging remainders and deliver them. Workers are joined, so this is
-  // plain single-threaded code.
-  std::unordered_map<std::uint64_t, PendingEpoch> leftovers;
-  {
-    std::lock_guard el(epoch_mutex_);
-    leftovers = std::move(pending_);
-    pending_.clear();
-  }
+  // Workers are joined, so their state is plain single-threaded data: the
+  // deliveries no barrier handed over go first, in ticket order; then what
+  // was never sealed — staged epochs and crash damage (including epochs
+  // whose every batch crashed) — in (host, epoch) order.
+  std::lock_guard drain_lock(drain_mutex_);
+  std::map<std::uint64_t, Delivery> sealed;
+  std::map<std::uint64_t, Delivery> unsealed;
   for (auto& sh : shards_) {
-    for (auto& [key, staged] : sh->staging) {
-      PendingEpoch& p = leftovers[key];
-      p.host = static_cast<int>(key >> 32);
-      p.epoch = static_cast<std::uint32_t>(key);
-      p.wire_bytes += staged.wire_bytes;
-      if (staged.max_event_ns > p.max_event_ns) {
-        p.max_event_ns = staged.max_event_ns;
-      }
-      p.fragments.insert(p.fragments.end(),
-                         std::make_move_iterator(staged.fragments.begin()),
-                         std::make_move_iterator(staged.fragments.end()));
+    for (Delivery& d : sh->done) sealed[d.ticket].absorb(std::move(d));
+    for (auto& [key, d] : sh->staging) {
+      d.batch = true;
+      unsealed[key].absorb(std::move(d));
     }
+    for (const auto& [key, lost] : sh->damage) {
+      Delivery d;
+      d.host = static_cast<int>(key >> 32);
+      d.epoch = static_cast<std::uint32_t>(key);
+      d.lost = lost;
+      unsealed[key].absorb(std::move(d));
+    }
+    sh->done.clear();
     sh->staging.clear();
+    sh->damage.clear();
   }
-  for (auto& [key, p] : leftovers) flush_epoch_to_sink(std::move(p));
-
-  // Workers are joined, so every crash-damage record is in. Sweep whatever
-  // never settled at a seal barrier — epochs whose every batch crashed
-  // leave no staged data and may never have been sealed — then dispatch
-  // the lot so no loss escapes the hook.
-  {
-    std::lock_guard lock(crash_mutex_);
-    for (const auto& [key, lost] : crash_damage_) {
-      settled_damage_.push_back({static_cast<int>(key >> 32),
-                                 static_cast<std::uint32_t>(key), lost});
-    }
-    crash_damage_.clear();
-  }
-  fire_settled_damage();
+  deliver(sealed);
+  deliver(unsealed);
 }
 
 int Collector::drain() {
   if (!running_) return 0;
-  auto barrier = std::make_shared<DrainBarrier>();
+  std::lock_guard drain_lock(drain_mutex_);
+  auto barrier = std::make_shared<DrainBarrier>(cfg_.shards);
   {
     // Take the front mutex so the barrier lands after any in-flight submit
-    // on every queue; control push bypasses the overflow policy.
+    // or seal on every queue; control push bypasses the overflow policy.
     std::lock_guard lock(front_mutex_);
     for (auto& sh : shards_) {
       ShardMsg msg;
@@ -306,11 +321,16 @@ int Collector::drain() {
   // everything enqueued before it — including batches that were in flight
   // when the crash message landed. The live count tells the caller how many
   // shards actually *processed* rather than shed their backlog.
+  // umon-sca: allow(SA002) drain_mutex_ must span the wait: it orders
+  // concurrent drain() callers end to end, so deliveries reach the sink in
+  // seal order. Workers never take it; the wait is bounded by their
+  // progress through the queue.
   const int live = barrier->wait_for(cfg_.shards);
-  // Crash damage settled at seal barriers since the last drain is now
-  // final; dispatch it on this (caller) thread so the hook never races the
-  // shard workers.
-  fire_settled_damage();
+  std::map<std::uint64_t, Delivery> due;
+  for (auto& handed : barrier->handed) {
+    for (Delivery& d : handed) due[d.ticket].absorb(std::move(d));
+  }
+  deliver(due);
   return live;
 }
 
@@ -444,9 +464,9 @@ void Collector::submit_mirror_batch(
   std::lock_guard lock(front_mutex_);
   ShardMsg msg;
   msg.kind = ShardMsg::Kind::kMirror;
+  msg.ticket = next_ticket_++;
   msg.mirror = std::move(packets);
-  // Mirror ingest is a cheap sorted merge; round-robin keeps any shard from
-  // becoming the designated mirror worker.
+  // Round-robin keeps any shard from becoming the designated mirror worker.
   const std::size_t s = mirror_rr_++ % shards_.size();
   ShardMsg evicted;
   // umon-sca: allow(SA002) same drain-barrier ordering argument as
@@ -472,66 +492,41 @@ void Collector::submit_mirror_batch(
 
 void Collector::seal_epoch(int host, std::uint32_t epoch,
                            std::optional<std::uint32_t> end_seq) {
-  {
-    std::lock_guard lock(front_mutex_);
-    HostSeqState& st = seq_state_[host];
-    std::uint64_t received = 0;
-    std::uint32_t seen_next = st.epoch_start_seq;
-    auto rcv = st.received_by_epoch.find(epoch);
-    if (rcv != st.received_by_epoch.end()) {
-      received = rcv->second.count;
-      seen_next = rcv->second.max_seq_next;
-      st.received_by_epoch.erase(rcv);
-    }
-    std::uint32_t end = end_seq.value_or(seen_next);
-    if (end < st.epoch_start_seq) end = st.epoch_start_seq;
-    const std::uint64_t expected = end - st.epoch_start_seq;
-    if (expected > received) {
-      ins_->reports_lost->inc(expected - received);
-      if (epoch_loss_hook_) {
-        epoch_loss_hook_(host, epoch, expected - received);
-      }
-      UMON_LOG(kInfo, "collector", "sequence gap at epoch seal",
-               {"host", std::to_string(host)},
-               {"epoch", std::to_string(epoch)},
-               {"lost", std::to_string(expected - received)});
-    }
-    st.epoch_start_seq = end;
+  std::lock_guard lock(front_mutex_);
+  HostSeqState& st = seq_state_[host];
+  std::uint64_t received = 0;
+  std::uint32_t seen_next = st.epoch_start_seq;
+  auto rcv = st.received_by_epoch.find(epoch);
+  if (rcv != st.received_by_epoch.end()) {
+    received = rcv->second.count;
+    seen_next = rcv->second.max_seq_next;
+    st.received_by_epoch.erase(rcv);
   }
+  std::uint32_t end = end_seq.value_or(seen_next);
+  if (end < st.epoch_start_seq) end = st.epoch_start_seq;
+  const std::uint64_t expected = end - st.epoch_start_seq;
+  if (expected > received) {
+    ins_->reports_lost->inc(expected - received);
+    if (epoch_loss_hook_) {
+      epoch_loss_hook_(host, epoch, expected - received);
+    }
+    UMON_LOG(kInfo, "collector", "sequence gap at epoch seal",
+             {"host", std::to_string(host)},
+             {"epoch", std::to_string(epoch)},
+             {"lost", std::to_string(expected - received)});
+  }
+  st.epoch_start_seq = end;
+  // Push under the front mutex, as drain() pushes its barrier: every shard
+  // then sees seals and barriers in one order, so a barrier hands over
+  // either every shard's share of this seal or none of them.
+  const std::uint64_t ticket = next_ticket_++;
   for (auto& sh : shards_) {
     ShardMsg msg;
     msg.kind = ShardMsg::Kind::kSeal;
     msg.host = host;
     msg.epoch = epoch;
+    msg.ticket = ticket;
     sh->queue.push_control(std::move(msg));
-  }
-}
-
-void Collector::note_crash_damage(int host, std::uint32_t epoch,
-                                  std::uint64_t count) {
-  if (count == 0) return;
-  std::lock_guard lock(crash_mutex_);
-  crash_damage_[epoch_key(host, epoch)] += count;
-}
-
-void Collector::settle_crash_damage(std::uint64_t key) {
-  std::lock_guard lock(crash_mutex_);
-  auto it = crash_damage_.find(key);
-  if (it == crash_damage_.end()) return;
-  settled_damage_.push_back({static_cast<int>(key >> 32),
-                             static_cast<std::uint32_t>(key), it->second});
-  crash_damage_.erase(it);
-}
-
-void Collector::fire_settled_damage() {
-  std::vector<SettledDamage> due;
-  {
-    std::lock_guard lock(crash_mutex_);
-    due.swap(settled_damage_);
-  }
-  if (!epoch_loss_hook_) return;
-  for (const SettledDamage& d : due) {
-    epoch_loss_hook_(d.host, d.epoch, d.lost);
   }
 }
 
@@ -549,7 +544,7 @@ void Collector::worker(int shard_id) {
           // producers; the loss is counted, never silent.
           ins_->batches_crashed->inc();
           ins_->reports_crashed->inc(msg.report_count);
-          note_crash_damage(msg.host, msg.epoch, msg.report_count);
+          sh.damage[epoch_key(msg.host, msg.epoch)] += msg.report_count;
           break;
         }
         handle_reports(shard_id, msg);
@@ -560,22 +555,20 @@ void Collector::worker(int shard_id) {
           ins_->batches_crashed->inc();
           break;
         }
-        const std::uint64_t n = msg.mirror.size();
-        {
-          std::lock_guard sink_lock(sink_mutex_);
-          sink_.ingest_mirrored(msg.mirror);
-        }
-        ins_->mirror_packets->inc(n);
+        Delivery d;
+        d.ticket = msg.ticket;
+        d.mirror = std::move(msg.mirror);
+        sh.done.push_back(std::move(d));
         break;
       }
       case ShardMsg::Kind::kSeal:
         // Seals process even while down: the crashed shard contributes its
-        // (empty) share so the epoch barrier completes with partial data
-        // instead of holding every other shard's fragments hostage.
+        // (empty) share, so the epoch flushes with partial data.
         handle_seal(shard_id, msg);
         break;
       case ShardMsg::Kind::kBarrier:
-        msg.barrier->ack(/*live=*/!sh.down);
+        msg.barrier->ack(shard_id, /*live=*/!sh.down,
+                         std::exchange(sh.done, {}));
         break;
       case ShardMsg::Kind::kCrash: {
         sh.down = true;
@@ -583,9 +576,7 @@ void Collector::worker(int shard_id) {
         std::uint64_t staged_fragments = 0;
         for (const auto& [key, staged] : sh.staging) {
           staged_fragments += staged.fragments.size();
-          note_crash_damage(static_cast<int>(key >> 32),
-                            static_cast<std::uint32_t>(key),
-                            staged.fragments.size());
+          sh.damage[key] += staged.fragments.size();
         }
         ins_->fragments_crashed->inc(staged_fragments);
         sh.staging.clear();  // a crash loses in-memory state
@@ -614,7 +605,9 @@ void Collector::handle_reports(int shard_id, ShardMsg& msg) {
   UMON_PROF_SCOPE(kShardDecode);
   telemetry::ScopedTimer timer(ins_->decode_latency_us);
   Shard& sh = *shards_[static_cast<std::size_t>(shard_id)];
-  Shard::StagedEpoch& staged = sh.staging[epoch_key(msg.host, msg.epoch)];
+  Delivery& staged = sh.staging[epoch_key(msg.host, msg.epoch)];
+  staged.host = msg.host;
+  staged.epoch = msg.epoch;
   staged.wire_bytes += msg.bytes.size();
 
   const std::span<const std::uint8_t> in(msg.bytes);
@@ -661,58 +654,54 @@ void Collector::handle_seal(int shard_id, const ShardMsg& msg) {
   UMON_TRACE_SPAN("collector/epoch_seal");
   Shard& sh = *shards_[static_cast<std::size_t>(shard_id)];
   const std::uint64_t key = epoch_key(msg.host, msg.epoch);
-  Shard::StagedEpoch staged;
+  Delivery share;
   if (auto it = sh.staging.find(key); it != sh.staging.end()) {
-    staged = std::move(it->second);
+    share = std::move(it->second);
     sh.staging.erase(it);
   }
-
-  std::unique_lock el(epoch_mutex_);
-  PendingEpoch& p = pending_[key];
-  p.host = msg.host;
-  p.epoch = msg.epoch;
-  p.wire_bytes += staged.wire_bytes;
-  if (staged.max_event_ns > p.max_event_ns) {
-    p.max_event_ns = staged.max_event_ns;
+  if (auto it = sh.damage.find(key); it != sh.damage.end()) {
+    share.lost = it->second;
+    sh.damage.erase(it);
   }
-  p.fragments.insert(p.fragments.end(),
-                     std::make_move_iterator(staged.fragments.begin()),
-                     std::make_move_iterator(staged.fragments.end()));
-  p.acks += 1;
-  if (p.acks < cfg_.shards) return;
-  PendingEpoch done = std::move(p);
-  pending_.erase(key);
-  el.unlock();
-  flush_epoch_to_sink(std::move(done));
+  share.ticket = msg.ticket;
+  share.host = msg.host;
+  share.epoch = msg.epoch;
+  share.batch = true;
+  sh.done.push_back(std::move(share));
 }
 
-void Collector::flush_epoch_to_sink(PendingEpoch&& done) {
+void Collector::deliver(std::map<std::uint64_t, Delivery>& due) {
+  for (auto& [order, d] : due) {
+    if (d.batch) flush_epoch_to_sink(d);
+    if (!d.mirror.empty()) {
+      sink_.ingest_mirrored(d.mirror);
+      ins_->mirror_packets->inc(d.mirror.size());
+    }
+  }
+  if (!epoch_loss_hook_) return;
+  for (const auto& [order, d] : due) {
+    if (d.lost > 0) epoch_loss_hook_(d.host, d.epoch, d.lost);
+  }
+}
+
+void Collector::flush_epoch_to_sink(Delivery& done) {
   UMON_TRACE_SPAN_LINEAGE("collector/epoch_flush",
                           obs::LineageTracker::key_of(
                               static_cast<std::uint32_t>(done.host),
                               done.epoch));
   UMON_PROF_SCOPE(kEpochFlush);
   telemetry::ScopedTimer timer(ins_->flush_latency_us);
-  // The seal barrier just completed (every shard acked), so queue FIFO
-  // guarantees any batch of this epoch a crashed shard discarded has been
-  // dequeued and its damage recorded — settle it for the loss hook.
-  settle_crash_damage(epoch_key(done.host, done.epoch));
   analyzer::Analyzer::DecodedReportBatch batch;
   batch.host = done.host;
   batch.epoch = done.epoch;
   batch.wire_bytes = done.wire_bytes;
   batch.fragments = std::move(done.fragments);
-  const std::uint64_t n = batch.fragments.size();
-  {
-    std::lock_guard sink_lock(sink_mutex_);
-    sink_.ingest_report_batch(batch);
-  }
+  sink_.ingest_report_batch(batch);
   ins_->epochs_flushed->inc();
-  ins_->fragments_ingested->inc(n);
+  ins_->fragments_ingested->inc(batch.fragments.size());
   if (curve_event_hook_ && done.max_event_ns >= 0) {
     curve_event_hook_(done.max_event_ns);
   }
-  if (epoch_seal_hook_) epoch_seal_hook_(done.host, done.epoch);
 }
 
 CollectorStats Collector::stats() const {

@@ -11,21 +11,28 @@
 //                                                          │ decode +
 //                                                          ▼ reconstruct
 //                                                   per-shard epoch staging
-//                                                          │ seal barrier
-//                                                          ▼
+//                                                          │ seal: the share moves
+//                                                          ▼ to a worker-owned list
+//                                                   drain()/stop() caller
+//                                                          │ merge by seal number,
+//                                                          ▼ then shard index
 //                                                 Analyzer::ingest_report_batch
-//                                                 (serialized, one batch per
-//                                                  sealed (host, epoch))
+//                                                 (one batch per sealed
+//                                                  (host, epoch), in seal order)
 //
 // * The front door performs a cheap framing-level scan (no coefficient
 //   parsing, no allocation per coefficient) and routes every report frame by
 //   FlowKey hash, so all fragments of a flow land on the same shard; light
 //   (grid-addressed) reports route by (host, row, col).
-// * Shard workers do the expensive work in parallel: full decode, wavelet
-//   reconstruction, and zero-stripping into sparse fragments.
-// * The epoch manager seals a (host, epoch) once every shard has drained its
-//   share, then flushes the merged fragments into the Analyzer in one batch
-//   under the sink mutex — the Analyzer itself stays single-threaded.
+// * Shard workers only decode, in parallel: full decode, wavelet
+//   reconstruction, and zero-stripping into sparse fragments. No worker
+//   calls into the Analyzer.
+// * Every sink call runs on the thread inside drain() or stop(). A seal
+//   gets a number and reaches every shard queue in one global order with
+//   drain()'s barrier, so each barrier hands over every shard's share of
+//   a seal or none of it. The caller flushes epochs in seal order, each
+//   epoch's fragments in shard-index then decode order, so the analyzer
+//   (and a store behind it) sees the same sequence on every same-input run.
 // * Loss is first-class: per-host sequence accounting counts reports that
 //   never arrived (upload-channel drops), bounded queues count what the
 //   backpressure policy shed, and malformed payloads are counted instead of
@@ -101,26 +108,28 @@ class Collector {
 
   /// Spawn the shard workers. Must be called before submitting.
   void start();
-  /// Drain every queue, flush all staged epochs (sealed or not), and join
-  /// the workers. Idempotent. After stop() the sink holds everything the
-  /// pipeline accepted.
+  /// Drain every queue and join the workers, then flush on this thread:
+  /// sealed epochs and mirror batches in the order they were sealed or
+  /// submitted, then the never-sealed staged epochs in (host, epoch) order. Idempotent. After stop() the
+  /// sink holds everything the pipeline accepted.
   void stop();
 
   /// Block until every message enqueued before this call has been fully
-  /// processed — including the sink flush of any epoch whose seal was
-  /// already submitted. Workers keep running. This is the synchronization
-  /// point deterministic drivers (health sampling, tests) use to observe a
-  /// quiescent pipeline without stopping it. Returns the number of shards
-  /// that were *live* (not crashed) when they acked the barrier, so a
-  /// driver can tell a quiescent pipeline from one that merely discarded
-  /// its backlog: a crashed shard still consumes (and counts) its queue, so
-  /// the barrier never wedges, but its data was shed, not processed.
-  /// Returns 0 before start().
+  /// processed, then flush every epoch sealed (and every mirror batch
+  /// submitted) before the call into the sink — on this thread, in seal
+  /// order. Workers keep running. This is the synchronization point
+  /// deterministic drivers (health sampling, tests) use to observe a
+  /// quiescent pipeline without stopping it; concurrent callers are
+  /// serialized. Returns the number of shards that were *live* (not
+  /// crashed) when they acked the barrier, so a driver can tell a quiescent
+  /// pipeline from one that merely discarded its backlog: a crashed shard
+  /// still consumes (and counts) its queue, so the barrier never wedges,
+  /// but its data was shed, not processed. Returns 0 before start().
   int drain();
 
-  /// Simulate a shard crash: the shard loses its staged epoch state and
-  /// discards every data batch until restart_shard(). Control messages
-  /// (seals, barriers) keep flowing so the epoch barrier and drain() stay
+  /// Simulate a shard crash: the shard loses its staged (unsealed) epoch
+  /// state and discards every data batch until restart_shard(). Control
+  /// messages (seals, barriers) keep flowing so seals and drain() stay
   /// live — a crashed shard contributes nothing, it does not wedge the
   /// pipeline. Thread-safe; no-op for out-of-range shards.
   void crash_shard(int shard);
@@ -130,10 +139,12 @@ class Collector {
   /// (host, epoch) — the signal graceful-degradation drivers use to flag
   /// the affected windows instead of silently serving zeros. Sequence gaps
   /// fire inside seal_epoch() with the front mutex held. Shard-crash
-  /// damage fires from drain() or stop() on the calling thread, once the
-  /// epoch's seal barrier proved every batch enqueued before the seal was
-  /// consumed — damage a worker records after the seal call can then never
-  /// be missed. Must be cheap and must not call back into the collector.
+  /// damage fires from drain() or stop() on the calling thread, after that
+  /// call's epoch flushes: a worker files the damage it recorded for an
+  /// epoch with its share of the seal, and queue FIFO proves every batch
+  /// enqueued before the seal was consumed by then — so damage a worker
+  /// records after the seal_epoch() call returned is never missed. Damage to an epoch never sealed fires
+  /// from stop(). Must be cheap and must not call back into the collector.
   /// Set before start().
   void set_epoch_loss_hook(
       std::function<void(int host, std::uint32_t epoch, std::uint64_t lost)>
@@ -144,25 +155,14 @@ class Collector {
   /// Observability taps for end-to-end freshness tracking. `decode` fires
   /// from shard workers after a batch decode with the largest *event time*
   /// (window-end, collector clock domain) reconstructed in that batch —
-  /// flow-tagged reports only. `curve` fires after a sealed epoch lands in
-  /// the analyzer, with the largest event time that epoch made queryable.
-  /// Set before start(); hooks must be thread-safe.
+  /// flow-tagged reports only. `curve` fires from drain()/stop() after a
+  /// sealed epoch lands in the analyzer, with the largest event time that
+  /// epoch made queryable. Set before start(); hooks must be thread-safe.
   void set_decode_event_hook(std::function<void(Nanos)> hook) {
     decode_event_hook_ = std::move(hook);
   }
   void set_curve_event_hook(std::function<void(Nanos)> hook) {
     curve_event_hook_ = std::move(hook);
-  }
-
-  /// Fires after a sealed (host, epoch) batch has fully flushed into the
-  /// analyzer sink — everything that epoch carried is now queryable (and,
-  /// with a spill sink attached, already written through). Durable-store
-  /// drivers use it as their flush barrier: sealing the store epoch here
-  /// guarantees the on-disk epoch never contains half a collector epoch.
-  /// Runs on the flushing thread with the sink lock released; must not call
-  /// back into the collector. Set before start().
-  void set_epoch_seal_hook(std::function<void(int host, std::uint32_t epoch)> hook) {
-    epoch_seal_hook_ = std::move(hook);
   }
 
   /// Report-lineage tap: shard workers record every (host, epoch) batch
@@ -183,8 +183,8 @@ class Collector {
 
   /// Declare `epoch` of `host` complete. `end_seq` is the host's next unused
   /// sequence number; providing it lets the collector count trailing losses
-  /// (payloads dropped after the last one that arrived). Once every shard
-  /// drains its share of the epoch, the merged batch flushes to the sink.
+  /// (payloads dropped after the last one that arrived). The next drain()
+  /// or stop() flushes the epoch, merged across shards, into the sink.
   void seal_epoch(int host, std::uint32_t epoch,
                   std::optional<std::uint32_t> end_seq = std::nullopt);
 
@@ -203,12 +203,17 @@ class Collector {
   struct ShardMsg;
   struct Shard;
   struct HostSeqState;
-  struct PendingEpoch;
+  struct Delivery;
+  struct DrainBarrier;
 
   void worker(int shard_id);
   void handle_reports(int shard_id, ShardMsg& msg);
   void handle_seal(int shard_id, const ShardMsg& msg);
-  void flush_epoch_to_sink(PendingEpoch&& done);
+  /// Sink side, on the drain()/stop() caller: flush every epoch batch and
+  /// mirror batch in `due` in key order, then fire the loss hook for the
+  /// crash damage they carry.
+  void deliver(std::map<std::uint64_t, Delivery>& due);
+  void flush_epoch_to_sink(Delivery& done);
 
   CollectorConfig cfg_;
   analyzer::Analyzer& sink_;
@@ -216,50 +221,24 @@ class Collector {
   std::function<void(Nanos)> decode_event_hook_;
   std::function<void(Nanos)> curve_event_hook_;
   std::function<void(int, std::uint32_t, std::uint64_t)> epoch_loss_hook_;
-  std::function<void(int, std::uint32_t)> epoch_seal_hook_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> workers_;
   bool running_ = false;
 
-  /// Serializes submit/seal callers; owns the sequence accounting and the
+  /// Serializes submit/seal/barrier pushes, so every shard queue sees seals
+  /// and drain barriers in one order; owns the sequence accounting and the
   /// per-host byte tallies.
   mutable std::mutex front_mutex_;
   std::unordered_map<int, HostSeqState> seq_state_;
   std::unordered_map<int, std::uint64_t> bytes_by_host_;
   std::size_t mirror_rr_ = 0;  ///< round-robin cursor for mirror batches
+  /// Numbers seals and mirror batches: the order the sink receives them.
+  std::uint64_t next_ticket_ = 0;
 
-  /// Guards the epoch-completion barrier state.
-  mutable std::mutex epoch_mutex_;
-  std::unordered_map<std::uint64_t, PendingEpoch> pending_;
-
-  /// Record that `count` reports/fragments of (host, epoch) were discarded
-  /// by a crashed shard (called from shard workers).
-  void note_crash_damage(int host, std::uint32_t epoch, std::uint64_t count);
-  /// Move (host, epoch)'s accumulated crash damage to the settled list.
-  /// Called once the epoch's seal barrier completed (all shards acked), so
-  /// queue FIFO guarantees every pre-seal batch was already consumed and
-  /// its damage recorded.
-  void settle_crash_damage(std::uint64_t key);
-  /// Fire the loss hook for every settled damage record (caller thread).
-  void fire_settled_damage();
-
-  struct SettledDamage {
-    int host;
-    std::uint32_t epoch;
-    std::uint64_t lost;
-  };
-
-  /// (host << 32 | epoch) keys that lost batches or staged fragments to a
-  /// shard crash. Written by shard workers; moved to settled_damage_ at the
-  /// epoch seal barrier (or the stop() sweep) and dispatched through the
-  /// loss hook from drain()/stop() so the hook never races the workers.
-  mutable std::mutex crash_mutex_;
-  std::map<std::uint64_t, std::uint64_t> crash_damage_;
-  std::vector<SettledDamage> settled_damage_;
-
-  /// Serializes every call into the (externally synchronized) Analyzer.
-  std::mutex sink_mutex_;
+  /// Serializes drain() and stop() callers — and so every call into the
+  /// (externally synchronized) Analyzer.
+  std::mutex drain_mutex_;
 
   // Registry-backed instruments shared across threads (relaxed; exact once
   // stop() returns). Private per instance so stats stay attributable.

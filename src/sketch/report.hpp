@@ -33,7 +33,8 @@ struct BucketReport {
     return wavelet::reconstruct(approx, details, length, levels);
   }
 
-  /// Reconstructed counter for one absolute window id (0 outside range).
+  /// Total bytes the report covers: the sum of its approximation
+  /// coefficients (block sums in the un-normalized Haar transform).
   [[nodiscard]] double total() const {
     double sum = 0;
     for (Count a : approx) sum += static_cast<double>(a);

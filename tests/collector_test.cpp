@@ -9,8 +9,11 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -571,13 +574,91 @@ TEST(CollectorConcurrency, DrainDuringCrashRestart) {
   EXPECT_EQ(st.epochs_flushed, static_cast<std::uint64_t>(kHosts) * kEpochs);
 }
 
+// Store bytes are only reproducible if the analyzer sees one sequence on
+// every run. Shard workers only decode; every sink call runs on the
+// drain() caller, epochs in seal order, each epoch's fragments in shard
+// index then decode order — whatever order the workers finished in.
+TEST(CollectorConcurrency, SinkRunsOnDrainCallerInSealOrder) {
+  constexpr int kShards = 4;
+  constexpr int kHosts = 8;
+  constexpr std::uint32_t kFlowsPerHost = 6;
+  const std::vector<int> seal_order = {5, 2, 7, 0, 3, 6, 1, 4};
+
+  struct RecordingSink : analyzer::CurveSink {
+    std::mutex mu;
+    std::vector<std::pair<std::thread::id, FlowKey>> calls;
+    void on_sparse(const FlowKey& f,
+                   std::span<const std::pair<WindowId, double>>) override {
+      std::lock_guard lock(mu);
+      calls.emplace_back(std::this_thread::get_id(), f);
+    }
+    void on_mark(WindowId, WindowId, analyzer::WindowConfidence) override {}
+  };
+
+  auto flow_of = [](int host, std::uint32_t i) {
+    return flow(static_cast<std::uint32_t>(host) * 100 + i);
+  };
+  std::vector<FlowKey> expected;
+  std::vector<int> per_shard(kShards, 0);
+  for (const int h : seal_order) {
+    for (int s = 0; s < kShards; ++s) {
+      for (std::uint32_t i = 0; i < kFlowsPerHost; ++i) {
+        const FlowKey f = flow_of(h, i);
+        if (std::hash<FlowKey>{}(f) % kShards != static_cast<std::size_t>(s)) {
+          continue;
+        }
+        expected.push_back(f);
+        per_shard[static_cast<std::size_t>(s)] += 1;
+      }
+    }
+  }
+  for (int n : per_shard) ASSERT_GT(n, 0) << "every shard must take part";
+
+  for (int rep = 0; rep < 20; ++rep) {
+    analyzer::Analyzer an;
+    RecordingSink sink;
+    an.set_curve_sink(&sink);
+    CollectorConfig cfg;
+    cfg.shards = kShards;
+    Collector col(cfg, an);
+    col.start();
+    std::vector<HostUplink::EpochUpload> uploads;
+    for (int h = 0; h < kHosts; ++h) {
+      HostUplink up(h, /*max_reports_per_payload=*/4);
+      std::vector<sketch::TaggedReport> reports;
+      for (std::uint32_t i = 0; i < kFlowsPerHost; ++i) {
+        reports.push_back(make_report(flow_of(h, i), 16 * h, {1, 2, 3, 4}));
+      }
+      uploads.push_back(up.encode_epoch(std::move(reports)));
+      for (const auto& p : uploads.back().payloads) {
+        ASSERT_TRUE(col.submit_report_payload(h, uploads.back().epoch,
+                                              p.bytes));
+      }
+    }
+    for (const int h : seal_order) {
+      const auto& u = uploads[static_cast<std::size_t>(h)];
+      col.seal_epoch(h, u.epoch, u.end_seq);
+    }
+    EXPECT_EQ(col.drain(), kShards);
+
+    std::vector<FlowKey> got;
+    for (const auto& [tid, f] : sink.calls) {
+      EXPECT_EQ(tid, std::this_thread::get_id()) << "rep " << rep;
+      got.push_back(f);
+    }
+    ASSERT_EQ(got, expected) << "rep " << rep;
+    col.stop();
+    EXPECT_EQ(sink.calls.size(), expected.size());
+  }
+}
+
 // Regression: crash damage a shard records when it *dequeues* a batch used
 // to be consumed by seal_epoch() at call time — but the seal call can run
 // before the crashed worker has popped the batch, so the damage was found
 // by no one and the loss hook silently never fired for that epoch. Damage
-// now settles when the epoch's seal barrier completes (queue FIFO proves
-// every pre-seal batch was consumed) and dispatches from drain()/stop() on
-// the caller's thread.
+// now travels with the shard's share of the seal (queue FIFO proves every
+// pre-seal batch was consumed by then) and dispatches from drain()/stop()
+// on the caller's thread.
 TEST(Collector, CrashDamageRecordedAfterSealStillFiresLossHook) {
   analyzer::Analyzer an;
   CollectorConfig cfg;
